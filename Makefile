@@ -88,12 +88,16 @@ perf-smoke:
 	test -s /tmp/hifi-perf/trend.svg
 
 # engine-smoke is the local version of CI's engine job: tables must be
-# byte-identical at any -jobs, and a repeated cached sweep must execute
-# nothing (see docs/engine.md).
+# byte-identical at any -jobs, at the scaled and at the paper geometry
+# (where pooled 128 MB-LLC tag arrays move between parallel jobs), and a
+# repeated cached sweep must execute nothing (see docs/engine.md).
 engine-smoke:
 	$(GO) run ./cmd/hifi-experiments -run fig10,fig14 -scaled -accesses 1000 -q -jobs 1 > /tmp/hifi-serial.txt
 	$(GO) run ./cmd/hifi-experiments -run fig10,fig14 -scaled -accesses 1000 -q -jobs 8 > /tmp/hifi-parallel.txt
 	diff -u /tmp/hifi-serial.txt /tmp/hifi-parallel.txt
+	$(GO) run ./cmd/hifi-experiments -run fig14 -accesses 2000 -q -jobs 1 > /tmp/hifi-paper-serial.txt
+	$(GO) run ./cmd/hifi-experiments -run fig14 -accesses 2000 -q -jobs 2 > /tmp/hifi-paper-parallel.txt
+	diff -u /tmp/hifi-paper-serial.txt /tmp/hifi-paper-parallel.txt
 	rm -rf /tmp/hifi-engine-cache
 	$(GO) run ./cmd/hifi-experiments -run fig14 -scaled -accesses 1000 -jobs 8 -cache-dir /tmp/hifi-engine-cache >/dev/null
 	$(GO) run ./cmd/hifi-experiments -run fig14 -scaled -accesses 1000 -jobs 8 -cache-dir /tmp/hifi-engine-cache 2>&1 >/dev/null \

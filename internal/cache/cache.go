@@ -7,6 +7,8 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"racetrack/hifi/internal/telemetry"
 )
@@ -29,26 +31,63 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(total)
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	// age is a per-set LRU counter stamp; larger = more recent.
-	age uint64
-}
+// A tag word packs one line's state as tag<<tagShift | dirty | valid.
+const (
+	validBit = 1
+	dirtyBit = 2
+	tagShift = 2
+	maxWays  = 256 // ranks are uint8
+)
 
 // Cache is a blocking set-associative cache with true-LRU replacement.
+//
+// The tag store is two flat set-major arrays: one packed tag word per
+// line (a 16-way set is 128 B) and one uint8 recency rank per line (0 =
+// MRU among the set's valid lines; the rank of an invalid line is
+// meaningless and never read). Replacement fills the lowest-index invalid
+// way first, otherwise evicts the way ranked ways-1.
 type Cache struct {
 	sets, ways int
 	lineBytes  int
-	lines      []line // sets * ways
-	clock      uint64
+	lineShift  uint
+	setShift   uint
+	setMask    uint64
+	tags       []uint64   // sets * ways
+	ranks      []uint8    // sets * ways
+	arrays     *tagArrays // the pooled backing of tags/ranks; nil once released
 	Stats      Stats
 
 	// Telemetry handles; nil (the default) costs one branch per event.
 	// Several caches may share handles (memsim aggregates the per-core
 	// L1s into one labelled series).
 	mHits, mMisses, mEvictions, mWritebacks *telemetry.Counter
+}
+
+// tagArrays is what a Cache borrows from, and Release returns to, the
+// pool for its line count. Every word of a pooled tags/ranks pair is zero.
+type tagArrays struct {
+	tags  []uint64
+	ranks []uint8
+	// filled lists the sets filled since New, so Release can clear just
+	// those. A set's first fill lands in way 0, which is where it is
+	// recorded; a set may repeat after Invalidate empties way 0.
+	filled []int
+}
+
+var (
+	poolsMu sync.Mutex
+	pools   = map[int]*sync.Pool{} // line count -> pool of *tagArrays
+)
+
+func poolFor(lines int) *sync.Pool {
+	poolsMu.Lock()
+	defer poolsMu.Unlock()
+	p := pools[lines]
+	if p == nil {
+		p = new(sync.Pool)
+		pools[lines] = p
+	}
+	return p
 }
 
 // Instrument attaches labelled event counters from reg; level tags the
@@ -63,22 +102,64 @@ func (c *Cache) Instrument(reg *telemetry.Registry, level string) {
 }
 
 // New builds a cache of the given capacity. capacity must be divisible by
-// ways*lineBytes.
+// ways*lineBytes, the set count and lineBytes must be powers of two, and
+// ways must not exceed 256. The tag arrays come from a pool of released
+// caches of the same size when one is available.
 func New(capacityB int64, ways, lineBytes int) *Cache {
 	if capacityB <= 0 || ways <= 0 || lineBytes <= 0 {
 		panic("cache: non-positive geometry")
+	}
+	if ways > maxWays {
+		panic(fmt.Sprintf("cache: %d ways exceeds %d", ways, maxWays))
 	}
 	setBytes := int64(ways * lineBytes)
 	if capacityB%setBytes != 0 {
 		panic(fmt.Sprintf("cache: capacity %d not divisible by way size %d", capacityB, setBytes))
 	}
 	sets := int(capacityB / setBytes)
+	if sets&(sets-1) != 0 || lineBytes&(lineBytes-1) != 0 {
+		panic(fmt.Sprintf("cache: %d sets of %d-byte lines: both must be powers of two", sets, lineBytes))
+	}
+	lineShift := uint(bits.TrailingZeros(uint(lineBytes)))
+	setShift := uint(bits.TrailingZeros(uint(sets)))
+	if lineShift+setShift < tagShift {
+		panic(fmt.Sprintf("cache: %d sets of %d-byte lines leave no room for the tag's state bits", sets, lineBytes))
+	}
+	lines := sets * ways
+	a, _ := poolFor(lines).Get().(*tagArrays)
+	if a == nil {
+		a = &tagArrays{tags: make([]uint64, lines), ranks: make([]uint8, lines)}
+	}
 	return &Cache{
 		sets:      sets,
 		ways:      ways,
 		lineBytes: lineBytes,
-		lines:     make([]line, sets*ways),
+		lineShift: lineShift,
+		setShift:  setShift,
+		setMask:   uint64(sets - 1),
+		tags:      a.tags,
+		ranks:     a.ranks,
+		arrays:    a,
 	}
+}
+
+// Release clears the sets filled since New and returns the tag arrays to
+// the pool for the next New of the same size. The cache must not be used
+// afterwards; a second Release is a no-op. Releasing is optional: an
+// unreleased cache is simply garbage-collected.
+func (c *Cache) Release() {
+	a := c.arrays
+	if a == nil {
+		return
+	}
+	for _, set := range a.filled {
+		base := set * c.ways
+		clear(a.tags[base : base+c.ways])
+		clear(a.ranks[base : base+c.ways])
+	}
+	a.filled = a.filled[:0]
+	c.tags, c.ranks, c.arrays = nil, nil, nil
+	poolFor(len(a.tags)).Put(a)
 }
 
 // Sets returns the number of sets.
@@ -92,8 +173,26 @@ func (c *Cache) LineBytes() int { return c.lineBytes }
 
 // index splits an address into set index and tag.
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
-	lineAddr := addr / uint64(c.lineBytes)
-	return int(lineAddr % uint64(c.sets)), lineAddr / uint64(c.sets)
+	lineAddr := addr >> c.lineShift
+	return int(lineAddr & c.setMask), lineAddr >> c.setShift
+}
+
+// lines returns the tag words and ranks of one set.
+func (c *Cache) lines(set int) ([]uint64, []uint8) {
+	base := set * c.ways
+	end := base + c.ways
+	return c.tags[base:end:end], c.ranks[base:end:end]
+}
+
+// lookup returns the way holding tag in the set's tag words, or -1.
+func lookup(tags []uint64, tag uint64) int {
+	want := tag<<tagShift | validBit
+	for w, t := range tags {
+		if (t^want)&^dirtyBit == 0 {
+			return w
+		}
+	}
+	return -1
 }
 
 // Result describes one access.
@@ -113,85 +212,104 @@ type Result struct {
 
 // Access looks up addr, allocating on miss (write-allocate, writeback).
 func (c *Cache) Access(addr uint64, write bool) Result {
-	c.clock++
 	set, tag := c.index(addr)
-	base := set * c.ways
+	tags, ranks := c.lines(set)
 	if write {
 		c.Stats.WriteAccesses++
 	} else {
 		c.Stats.ReadAccesses++
 	}
-	// Hit?
-	for w := 0; w < c.ways; w++ {
-		l := &c.lines[base+w]
-		if l.valid && l.tag == tag {
-			l.age = c.clock
-			if write {
-				l.dirty = true
-			}
-			c.Stats.Hits++
-			c.mHits.Inc()
-			return Result{Hit: true, Way: w, Set: set}
+	if w := lookup(tags, tag); w >= 0 {
+		if write {
+			tags[w] |= dirtyBit
 		}
+		// Lines more recent than w age by one; w becomes the MRU.
+		r := ranks[w]
+		for i, ri := range ranks {
+			if ri < r {
+				ranks[i] = ri + 1
+			}
+		}
+		ranks[w] = 0
+		c.Stats.Hits++
+		c.mHits.Inc()
+		return Result{Hit: true, Way: w, Set: set}
 	}
 	c.Stats.Misses++
 	c.mMisses.Inc()
 	// Victim: invalid way first, else LRU.
-	victim := 0
-	oldest := ^uint64(0)
-	for w := 0; w < c.ways; w++ {
-		l := &c.lines[base+w]
-		if !l.valid {
+	victim := -1
+	for w, t := range tags {
+		if t&validBit == 0 {
 			victim = w
-			oldest = 0
 			break
 		}
-		if l.age < oldest {
-			oldest = l.age
-			victim = w
-		}
 	}
-	res := Result{Way: victim, Set: set}
-	l := &c.lines[base+victim]
-	if l.valid {
+	res := Result{Set: set}
+	switch {
+	case victim < 0:
+		victim = lru(ranks)
+		t := tags[victim]
 		res.Evicted = true
-		res.Writeback = l.dirty
+		res.Writeback = t&dirtyBit != 0
 		if res.Writeback {
 			c.Stats.Writebacks++
 			c.mWritebacks.Inc()
 		}
 		c.Stats.Evictions++
 		c.mEvictions.Inc()
-		res.EvictedAddr = (l.tag*uint64(c.sets) + uint64(set)) * uint64(c.lineBytes)
+		res.EvictedAddr = (t>>tagShift<<c.setShift | uint64(set)) << c.lineShift
+	case victim == 0 && tags[0] == 0:
+		c.arrays.filled = append(c.arrays.filled, set)
 	}
-	*l = line{tag: tag, valid: true, dirty: write, age: c.clock}
+	res.Way = victim
+	tags[victim] = tag<<tagShift | validBit
+	if write {
+		tags[victim] |= dirtyBit
+	}
+	// Every other line ages by one: with a free way that is each valid
+	// line, and on eviction none exceeds ways-1 once the LRU is gone.
+	for i := range ranks {
+		ranks[i]++
+	}
+	ranks[victim] = 0
 	return res
+}
+
+// lru returns the way ranked last in a full set.
+func lru(ranks []uint8) int {
+	last := uint8(len(ranks) - 1)
+	for w, r := range ranks {
+		if r == last {
+			return w
+		}
+	}
+	panic("cache: full set has no LRU way")
 }
 
 // Contains reports whether addr is resident (no state change).
 func (c *Cache) Contains(addr uint64) bool {
 	set, tag := c.index(addr)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		l := c.lines[base+w]
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
+	tags, _ := c.lines(set)
+	return lookup(tags, tag) >= 0
 }
 
 // Invalidate drops addr if resident, reporting whether it was dirty.
 func (c *Cache) Invalidate(addr uint64) (resident, dirty bool) {
 	set, tag := c.index(addr)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		l := &c.lines[base+w]
-		if l.valid && l.tag == tag {
-			resident, dirty = true, l.dirty
-			l.valid = false
-			return resident, dirty
+	tags, ranks := c.lines(set)
+	w := lookup(tags, tag)
+	if w < 0 {
+		return false, false
+	}
+	dirty = tags[w]&dirtyBit != 0
+	tags[w] &^= validBit
+	// Lines older than w move up one rank.
+	r := ranks[w]
+	for i, ri := range ranks {
+		if ri > r {
+			ranks[i] = ri - 1
 		}
 	}
-	return false, false
+	return true, dirty
 }

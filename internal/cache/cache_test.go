@@ -21,7 +21,11 @@ func TestNewPanics(t *testing.T) {
 	cases := []func(){
 		func() { New(0, 16, 64) },
 		func() { New(4<<20, 0, 64) },
-		func() { New(100, 16, 64) }, // not divisible
+		func() { New(100, 16, 64) },     // not divisible
+		func() { New(3*16*64, 16, 64) }, // 3 sets
+		func() { New(4*2*48, 2, 48) },   // 48-byte lines
+		func() { New(257*64, 257, 64) }, // more than 256 ways
+		func() { New(2, 1, 2) },         // 1 set of 2-byte lines: no room for state bits
 	}
 	for i, f := range cases {
 		func() {

@@ -233,7 +233,9 @@ func RunCtx(ctx context.Context, w trace.Workload, cfg Config) (Result, error) {
 	s := newSystem(sctx, w, cfg)
 	setup.End()
 	s.run(ctx)
-	return s.result(), nil
+	r := s.result()
+	s.releaseCaches()
+	return r, nil
 }
 
 // system holds the live simulation state.
@@ -480,6 +482,18 @@ func (s *system) drive() {
 		}
 		s.step(core)
 	}
+}
+
+// releaseCaches hands the tag arrays back for the next run's caches;
+// the system is dead afterwards.
+func (s *system) releaseCaches() {
+	for _, c := range s.l1 {
+		c.Release()
+	}
+	for _, c := range s.l2 {
+		c.Release()
+	}
+	s.l3.Release()
 }
 
 // resetMeasurement zeroes every statistic that feeds Result at the
