@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-
-	"racetrack/hifi/internal/telemetry"
 )
 
 // Stats counts cache events.
@@ -54,17 +52,13 @@ type Cache struct {
 	setMask    uint64
 	tags       []uint64   // sets * ways
 	ranks      []uint8    // sets * ways
-	arrays     *tagArrays // the pooled backing of tags/ranks; nil once released
+	arrays     *tagArrays // the reusable backing of tags/ranks; nil once released
 	Stats      Stats
-
-	// Telemetry handles; nil (the default) costs one branch per event.
-	// Several caches may share handles (memsim aggregates the per-core
-	// L1s into one labelled series).
-	mHits, mMisses, mEvictions, mWritebacks *telemetry.Counter
 }
 
 // tagArrays is what a Cache borrows from, and Release returns to, the
-// pool for its line count. Every word of a pooled tags/ranks pair is zero.
+// free list for its line count. Every word of a free tags/ranks pair is
+// zero.
 type tagArrays struct {
 	tags  []uint64
 	ranks []uint8
@@ -74,37 +68,33 @@ type tagArrays struct {
 	filled []int
 }
 
+// The free lists are shared by every goroutine, unlike a sync.Pool,
+// whose per-P private slot hides an array released on one P from a New
+// on another: that allocated a second paper-size L3 array in about one
+// in four processes that ran a sweep. Released arrays stay for the life
+// of the process, and a list never holds more arrays of a size than
+// were live at once.
 var (
-	poolsMu sync.Mutex
-	pools   = map[int]*sync.Pool{} // line count -> pool of *tagArrays
+	freeMu sync.Mutex
+	free   = map[int][]*tagArrays{} // line count -> released arrays
 )
 
-func poolFor(lines int) *sync.Pool {
-	poolsMu.Lock()
-	defer poolsMu.Unlock()
-	p := pools[lines]
-	if p == nil {
-		p = new(sync.Pool)
-		pools[lines] = p
+// takeArrays returns released arrays of the given line count, or nil.
+func takeArrays(lines int) *tagArrays {
+	freeMu.Lock()
+	defer freeMu.Unlock()
+	l := free[lines]
+	if len(l) == 0 {
+		return nil
 	}
-	return p
-}
-
-// Instrument attaches labelled event counters from reg; level tags the
-// series ("l1", "l2", "l3"). A nil registry detaches. Sibling caches
-// instrumented with the same level share the same series.
-func (c *Cache) Instrument(reg *telemetry.Registry, level string) {
-	tag := func(name string) string { return telemetry.Label(name, "level", level) }
-	c.mHits = reg.Counter(tag(telemetry.MetricCacheHits), "cache hits by level")
-	c.mMisses = reg.Counter(tag(telemetry.MetricCacheMisses), "cache misses by level")
-	c.mEvictions = reg.Counter(tag(telemetry.MetricCacheEvictions), "cache evictions by level")
-	c.mWritebacks = reg.Counter(tag(telemetry.MetricCacheWritebacks), "dirty cache evictions by level")
+	free[lines] = l[:len(l)-1]
+	return l[len(l)-1]
 }
 
 // New builds a cache of the given capacity. capacity must be divisible by
 // ways*lineBytes, the set count and lineBytes must be powers of two, and
-// ways must not exceed 256. The tag arrays come from a pool of released
-// caches of the same size when one is available.
+// ways must not exceed 256. The tag arrays are those of a released cache
+// of the same size when one is available.
 func New(capacityB int64, ways, lineBytes int) *Cache {
 	if capacityB <= 0 || ways <= 0 || lineBytes <= 0 {
 		panic("cache: non-positive geometry")
@@ -126,7 +116,7 @@ func New(capacityB int64, ways, lineBytes int) *Cache {
 		panic(fmt.Sprintf("cache: %d sets of %d-byte lines leave no room for the tag's state bits", sets, lineBytes))
 	}
 	lines := sets * ways
-	a, _ := poolFor(lines).Get().(*tagArrays)
+	a := takeArrays(lines)
 	if a == nil {
 		a = &tagArrays{tags: make([]uint64, lines), ranks: make([]uint8, lines)}
 	}
@@ -144,9 +134,9 @@ func New(capacityB int64, ways, lineBytes int) *Cache {
 }
 
 // Release clears the sets filled since New and returns the tag arrays to
-// the pool for the next New of the same size. The cache must not be used
-// afterwards; a second Release is a no-op. Releasing is optional: an
-// unreleased cache is simply garbage-collected.
+// the free list for the next New of the same size. The cache must not be
+// used afterwards; a second Release is a no-op. Releasing is optional:
+// an unreleased cache is simply garbage-collected.
 func (c *Cache) Release() {
 	a := c.arrays
 	if a == nil {
@@ -159,7 +149,9 @@ func (c *Cache) Release() {
 	}
 	a.filled = a.filled[:0]
 	c.tags, c.ranks, c.arrays = nil, nil, nil
-	poolFor(len(a.tags)).Put(a)
+	freeMu.Lock()
+	free[len(a.tags)] = append(free[len(a.tags)], a)
+	freeMu.Unlock()
 }
 
 // Sets returns the number of sets.
@@ -232,11 +224,9 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 		}
 		ranks[w] = 0
 		c.Stats.Hits++
-		c.mHits.Inc()
 		return Result{Hit: true, Way: w, Set: set}
 	}
 	c.Stats.Misses++
-	c.mMisses.Inc()
 	// Victim: invalid way first, else LRU.
 	victim := -1
 	for w, t := range tags {
@@ -254,10 +244,8 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 		res.Writeback = t&dirtyBit != 0
 		if res.Writeback {
 			c.Stats.Writebacks++
-			c.mWritebacks.Inc()
 		}
 		c.Stats.Evictions++
-		c.mEvictions.Inc()
 		res.EvictedAddr = (t>>tagShift<<c.setShift | uint64(set)) << c.lineShift
 	case victim == 0 && tags[0] == 0:
 		c.arrays.filled = append(c.arrays.filled, set)

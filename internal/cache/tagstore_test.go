@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"racetrack/hifi/internal/sim"
@@ -226,6 +227,31 @@ func TestReuseMatchesFresh(t *testing.T) {
 	}
 	if !reused {
 		t.Fatal("New never reused released arrays")
+	}
+}
+
+// TestReuseAcrossGoroutines: arrays released on one goroutine serve the
+// next New on another, whichever processors the two run on.
+func TestReuseAcrossGoroutines(t *testing.T) {
+	const capacityB, ways, lineBytes = 8 * 8 * 16, 8, 16 // a size no other test uses
+	for i := 0; i < 50; i++ {
+		c := New(capacityB, ways, lineBytes)
+		c.Access(uint64(i)*lineBytes, true)
+		arrays := c.arrays
+		var released atomic.Bool
+		go func() {
+			c.Release()
+			released.Store(true)
+		}()
+		// Spin rather than block, so that with more than one processor
+		// the Release runs on another one than the New below.
+		for !released.Load() {
+		}
+		c = New(capacityB, ways, lineBytes)
+		if c.arrays != arrays {
+			t.Fatalf("round %d: New allocated fresh arrays after a Release on another goroutine", i)
+		}
+		c.Release()
 	}
 }
 

@@ -81,19 +81,27 @@ type Config struct {
 	// so cached results are keyed by the regime that produced them.
 	FaultPlan *faults.Plan
 	// Metrics optionally receives named event series from every level of
-	// the simulated hierarchy (see docs/observability.md). The registry
-	// is safe to snapshot from another goroutine while the run is in
-	// flight. Nil disables instrumentation at one branch per event.
+	// the simulated hierarchy (see docs/observability.md). The run
+	// tallies events in plain fields of its own and publishes them in
+	// blocks: every 4096 accesses (timeseries.DefaultEvery), or at the
+	// Sampler's window boundaries when one is attached, and at the end
+	// of every phase. So the registry, which is safe to snapshot from
+	// another goroutine while the run is in flight, lags the run by at
+	// most one block, and is exact at phase ends. Runs sharing one
+	// registry touch its shared atomics once per block, not per event.
+	// Nil leaves the tally unpublished.
 	Metrics *telemetry.Registry
 	// Tracer optionally receives shift/eviction events on the LLC
 	// timeline. Nil disables tracing.
 	Tracer *telemetry.Tracer
 	// Sampler optionally cuts the Metrics registry's series into
-	// windows on the simulated-access clock: every access ticks it
-	// once, the setup/warmup/measure phases mark their windows, and
-	// phase boundaries force a cut so warmup and measurement never
+	// windows on the simulated-access clock: each telemetry block ticks
+	// it by the block's accesses and ends on its window boundary, so a
+	// run alone on the sampler gets the windows that ticking per access
+	// would give. The setup/warmup/measure phases mark their windows,
+	// and phase boundaries force a cut so warmup and measurement never
 	// share a window (see docs/observability.md). Nil disables
-	// windowed sampling at one branch per access.
+	// windowed sampling.
 	Sampler *timeseries.Sampler
 	// Events optionally receives run.phase events at the warmup/measure
 	// boundaries and fault-window transitions from the device plane
@@ -277,19 +285,19 @@ type system struct {
 
 	costsL1, costsL2, costsL3, costsMem energy.CacheCosts
 
-	tel     simTelemetry
+	tel  simTelemetry
+	pend simPending
+	// flushAt is the pending access count at which the next flush runs.
+	flushAt int
 	tracer  *telemetry.Tracer
 	sampler *timeseries.Sampler
 }
 
-// simTelemetry caches the metric handles the simulator updates on its
-// hot path, resolved once at construction so per-event cost is an
-// atomic add. The zero value (all handles nil) is the disabled state:
-// every update is then a single branch.
+// simTelemetry holds the registry handles a run publishes to, resolved
+// once at construction. The zero value (all handles nil) is the
+// disabled state: publishing is then a nil check per series per flush.
 type simTelemetry struct {
 	shiftCycles *telemetry.Counter
-	opSteps     *telemetry.Histogram
-	opLatency   *telemetry.Histogram
 	checks      *telemetry.Counter
 	expCorr     *telemetry.Counter
 	expSDC      *telemetry.Counter
@@ -309,6 +317,54 @@ type simTelemetry struct {
 
 	faultActive *telemetry.Counter
 	faultForced *telemetry.Counter
+
+	l1, l2, l3 levelTelemetry
+
+	shiftOps, shiftSteps, shiftZero *telemetry.Counter
+	// shiftPublished holds the run's shift ops, steps, zero-shift
+	// accesses and cycles at the last flush.
+	shiftPublished [4]uint64
+}
+
+// levelTelemetry is one cache level's labelled series; sibling caches
+// of a level (the per-core L1s, the per-pair L2s) publish their sum.
+type levelTelemetry struct {
+	hits, misses, evictions, writebacks *telemetry.Counter
+	// published holds the level's counts at the last flush.
+	published cache.Stats
+}
+
+func newLevelTelemetry(reg *telemetry.Registry, level string) levelTelemetry {
+	tag := func(name string) string { return telemetry.Label(name, "level", level) }
+	return levelTelemetry{
+		hits:       reg.Counter(tag(telemetry.MetricCacheHits), "cache hits by level"),
+		misses:     reg.Counter(tag(telemetry.MetricCacheMisses), "cache misses by level"),
+		evictions:  reg.Counter(tag(telemetry.MetricCacheEvictions), "cache evictions by level"),
+		writebacks: reg.Counter(tag(telemetry.MetricCacheWritebacks), "dirty cache evictions by level"),
+	}
+}
+
+// publish adds the level's counts since the last flush.
+func (l *levelTelemetry) publish(now cache.Stats) {
+	addCount(l.hits, now.Hits-l.published.Hits)
+	addCount(l.misses, now.Misses-l.published.Misses)
+	addCount(l.evictions, now.Evictions-l.published.Evictions)
+	addCount(l.writebacks, now.Writebacks-l.published.Writebacks)
+	l.published = now
+}
+
+func addCount(c *telemetry.Counter, n uint64) { c.Add(float64(n)) }
+
+// sumStats totals the event counts of sibling caches.
+func sumStats(cs []*cache.Cache) cache.Stats {
+	var t cache.Stats
+	for _, c := range cs {
+		t.Hits += c.Stats.Hits
+		t.Misses += c.Stats.Misses
+		t.Evictions += c.Stats.Evictions
+		t.Writebacks += c.Stats.Writebacks
+	}
+	return t
 }
 
 func newSimTelemetry(reg *telemetry.Registry) simTelemetry {
@@ -317,14 +373,10 @@ func newSimTelemetry(reg *telemetry.Registry) simTelemetry {
 	}
 	return simTelemetry{
 		shiftCycles: reg.Counter(telemetry.MetricShiftCycles, "cycles spent in LLC shift operations"),
-		opSteps: reg.Histogram(telemetry.MetricShiftOpInterval,
-			"steps per planned shift operation", telemetry.ShiftDistanceBuckets()),
-		opLatency: reg.Histogram(telemetry.MetricShiftOpLatency,
-			"latency per shift operation in cycles", telemetry.LatencyCycleBuckets()),
-		checks:  reg.Counter(telemetry.MetricPECCChecks, "p-ECC position verifies performed"),
-		expCorr: reg.Counter(telemetry.MetricExpectedCorrections, "expected p-ECC corrections (analytic)"),
-		expSDC:  reg.Counter(telemetry.MetricExpectedSDC, "expected silent data corruptions (analytic)"),
-		expDUE:  reg.Counter(telemetry.MetricExpectedDUE, "expected detected-unrecoverable errors (analytic)"),
+		checks:      reg.Counter(telemetry.MetricPECCChecks, "p-ECC position verifies performed"),
+		expCorr:     reg.Counter(telemetry.MetricExpectedCorrections, "expected p-ECC corrections (analytic)"),
+		expSDC:      reg.Counter(telemetry.MetricExpectedSDC, "expected silent data corruptions (analytic)"),
+		expDUE:      reg.Counter(telemetry.MetricExpectedDUE, "expected detected-unrecoverable errors (analytic)"),
 
 		promoHits:    reg.Counter(telemetry.MetricPromoHits, "promotion-buffer hits"),
 		promoMisses:  reg.Counter(telemetry.MetricPromoMisses, "promotion-buffer misses"),
@@ -340,7 +392,27 @@ func newSimTelemetry(reg *telemetry.Registry) simTelemetry {
 
 		faultActive: reg.Counter(telemetry.MetricFaultsActiveOps, "shift operations run under an active fault modulation"),
 		faultForced: reg.Counter(telemetry.MetricFaultsForced, "shift outcomes forced by a stuck-domain fault"),
+
+		l1: newLevelTelemetry(reg, "l1"),
+		l2: newLevelTelemetry(reg, "l2"),
+		l3: newLevelTelemetry(reg, "l3"),
 	}
+}
+
+// simPending is the run's tally of events not yet published: the hot
+// path adds to plain fields, and flush publishes them in one block, so
+// runs sharing a registry do not contend per event.
+type simPending struct {
+	accesses int // accesses since the last flush
+	checks   uint64
+	expCorr  float64
+	expSDC   float64
+	expDUE   float64
+
+	promoHits, promoMisses, promoFlushes uint64
+	faultActive, faultForced             uint64
+
+	opSteps, opLatency, distance telemetry.HistogramTally
 }
 
 func newSystem(ctx context.Context, w trace.Workload, cfg Config) *system {
@@ -401,25 +473,82 @@ func newSystem(ctx context.Context, w trace.Workload, cfg Config) *system {
 		s.shiftE = energy.DefaultShift()
 		s.promo = newPromoBuffer(cfg.PromoEntries)
 	}
-	s.tel = newSimTelemetry(cfg.Metrics)
+	reg := cfg.Metrics
+	s.tel = newSimTelemetry(reg)
+	s.pend.opSteps = telemetry.NewHistogramTally(reg.Histogram(telemetry.MetricShiftOpInterval,
+		"steps per planned shift operation", telemetry.ShiftDistanceBuckets()))
+	s.pend.opLatency = telemetry.NewHistogramTally(reg.Histogram(telemetry.MetricShiftOpLatency,
+		"latency per shift operation in cycles", telemetry.LatencyCycleBuckets()))
 	s.tracer = cfg.Tracer
 	s.sampler = cfg.Sampler
 	s.sampler.Mark("memsim:" + w.Name + ":setup")
-	if cfg.Metrics != nil {
-		for _, c := range s.l1 {
-			c.Instrument(cfg.Metrics, "l1")
-		}
-		for _, c := range s.l2 {
-			c.Instrument(cfg.Metrics, "l2")
-		}
-		s.l3.Instrument(cfg.Metrics, "l3")
-		if s.rtm != nil {
-			s.rtm.Instrument(cfg.Metrics)
-			s.adapter.Instrument(cfg.Metrics)
-		}
-		s.tel.accessesTotal.Set(float64(cfg.AccessesPerCore * cfg.Cores))
+	if s.rtm != nil && reg != nil {
+		s.tel.shiftOps = reg.Counter(telemetry.MetricShiftOps, "shift operations issued")
+		s.tel.shiftSteps = reg.Counter(telemetry.MetricShiftSteps, "total shift distance in steps")
+		s.tel.shiftZero = reg.Counter(telemetry.MetricShiftZero, "accesses needing no head movement")
+		s.pend.distance = telemetry.NewHistogramTally(reg.Histogram(telemetry.MetricShiftDistance,
+			"per-access shift distance in steps", telemetry.ShiftDistanceBuckets()))
+		s.adapter.Instrument(reg)
 	}
+	s.tel.accessesTotal.Set(float64(cfg.AccessesPerCore * cfg.Cores))
+	s.scheduleFlush()
 	return s
+}
+
+// flushEvery is the batch size of a run's telemetry without a sampler:
+// the sampler's default window, so live views lag by at most that much.
+const flushEvery = timeseries.DefaultEvery
+
+// scheduleFlush sets when the next flush runs: flushEvery accesses on,
+// or at the sampler's next window boundary when one is attached.
+func (s *system) scheduleFlush() {
+	s.flushAt = flushEvery
+	if n := s.sampler.UntilCut(); n > 0 {
+		s.flushAt = n
+	}
+}
+
+// flush publishes the run's pending tally and its cache and shift
+// counts since the previous flush, then ticks the sampler by the
+// accesses in the batch. It runs every flushAt accesses and at the end
+// of every phase, so spans and the warmup reset see complete series.
+func (s *system) flush() {
+	p, t := &s.pend, &s.tel
+	addCount(t.checks, p.checks)
+	t.expCorr.Add(p.expCorr)
+	t.expSDC.Add(p.expSDC)
+	t.expDUE.Add(p.expDUE)
+	addCount(t.promoHits, p.promoHits)
+	addCount(t.promoMisses, p.promoMisses)
+	addCount(t.promoFlushes, p.promoFlushes)
+	addCount(t.faultActive, p.faultActive)
+	addCount(t.faultForced, p.faultForced)
+	p.opSteps.Publish()
+	p.opLatency.Publish()
+	p.distance.Publish()
+
+	t.l1.publish(sumStats(s.l1))
+	t.l2.publish(sumStats(s.l2))
+	// Every L3 miss fills from DRAM and every dirty L3 eviction writes
+	// back to it.
+	l3 := s.l3.Stats
+	addCount(t.dramFills, l3.Misses-t.l3.published.Misses)
+	addCount(t.dramWritebacks, l3.Writebacks-t.l3.published.Writebacks)
+	t.l3.publish(l3)
+	if s.rtm != nil {
+		now := [4]uint64{s.rtm.ShiftOps, s.rtm.ShiftSteps, s.rtm.ZeroShiftAccesses, s.shiftCycles}
+		for i, c := range []*telemetry.Counter{t.shiftOps, t.shiftSteps, t.shiftZero, t.shiftCycles} {
+			addCount(c, now[i]-t.shiftPublished[i])
+		}
+		t.shiftPublished = now
+	}
+
+	n := p.accesses
+	// Publish emptied the histogram tallies; zero the rest.
+	*p = simPending{opSteps: p.opSteps, opLatency: p.opLatency, distance: p.distance}
+	t.accessesDone.Add(float64(n))
+	s.sampler.Tick(n)
+	s.scheduleFlush()
 }
 
 // run drives all cores to completion in global time order, as a warmup
@@ -482,6 +611,7 @@ func (s *system) drive() {
 		}
 		s.step(core)
 	}
+	s.flush()
 }
 
 // releaseCaches hands the tag arrays back for the next run's caches;
@@ -514,6 +644,12 @@ func (s *system) resetMeasurement() {
 		s.rtm.ShiftSteps = 0
 		s.rtm.ZeroShiftAccesses = 0
 	}
+	// drive flushed before the reset, so the published baselines
+	// restart from the zeroed counts.
+	s.tel.l1.published = cache.Stats{}
+	s.tel.l2.published = cache.Stats{}
+	s.tel.l3.published = cache.Stats{}
+	s.tel.shiftPublished = [4]uint64{}
 	s.shiftCycles = 0
 	s.acct = energy.Account{}
 	s.tracker = mttf.Tracker{}
@@ -538,8 +674,9 @@ func (s *system) step(core int) {
 
 	lat := s.accessL1(core, a.Addr, a.Write)
 	s.cycles[core] += uint64(lat)
-	s.tel.accessesDone.Add(1)
-	s.sampler.Tick(1)
+	if s.pend.accesses++; s.pend.accesses == s.flushAt {
+		s.flush()
+	}
 }
 
 // accessL1 runs the full hierarchy for one reference and returns latency in
@@ -607,10 +744,10 @@ func (s *system) accessL3(core int, addr uint64, write bool, now uint64) int {
 	if s.rtm != nil {
 		if s.promo != nil && s.promo.lookup(addr, write) {
 			// Promotion-buffer hit: served at array speed, no shift.
-			s.tel.promoHits.Inc()
+			s.pend.promoHits++
 		} else {
 			if s.promo != nil {
-				s.tel.promoMisses.Inc()
+				s.pend.promoMisses++
 			}
 			service += s.shiftFor(start, res.Set, res.Way)
 			if s.promo != nil {
@@ -642,11 +779,9 @@ func (s *system) accessL3(core int, addr uint64, write bool, now uint64) int {
 	}
 	if res.Writeback {
 		s.acct.DRAMNJ += s.costsMem.WriteNJ
-		s.tel.dramWritebacks.Inc()
 	}
 	// Fill from DRAM: latency plus channel bandwidth occupancy.
 	s.acct.DRAMNJ += s.costsMem.ReadNJ
-	s.tel.dramFills.Inc()
 	memStart := start + uint64(service)
 	if s.memFreeAt > memStart {
 		lat += int(s.memFreeAt - memStart)
@@ -677,14 +812,14 @@ func (s *system) shiftFor(start uint64, set, way int) int {
 	for _, n := range seq {
 		oc := s.opCycles(n)
 		cycles += oc
-		s.tel.opLatency.Observe(float64(oc))
+		s.pend.opLatency.Observe(float64(oc))
 	}
 	s.trackSeq(seq)
 	s.acct.ShiftNJ += s.shiftE.SeqNJ(seq, owrite)
 	s.tracer.Emit(telemetry.EventShift, start, int64(group), int64(dir*dist), int64(len(seq)))
 	s.rtm.MoveHead(group, dist, dir, len(seq))
+	s.pend.distance.Observe(float64(dist))
 	s.shiftCycles += uint64(cycles)
-	s.tel.shiftCycles.Add(float64(cycles))
 	if s.cfg.EagerHead {
 		s.returnHead(group)
 	}
@@ -713,30 +848,30 @@ func (s *system) trackSeq(seq []int) {
 			mod := s.faults.Advance()
 			if !mod.Identity() {
 				em = mod.Apply(em)
-				s.tel.faultActive.Inc()
+				s.pend.faultActive++
 			}
 			if mod.ForceOffset != 0 {
-				s.tel.faultForced.Inc()
+				s.pend.faultForced++
 				switch s.cfg.Scheme.ClassifyOffset(mod.ForceOffset) {
 				case shiftctrl.OffsetSDC:
 					s.tracker.AddShift(1, 0)
-					s.tel.expSDC.Add(1)
+					s.pend.expSDC++
 				case shiftctrl.OffsetDUE:
 					s.tracker.AddShift(0, 1)
-					s.tel.expDUE.Add(1)
+					s.pend.expDUE++
 				}
 			}
 		}
 		sdc, due := s.cfg.Scheme.FailureRates(em, n)
 		s.tracker.AddShift(sdc*g, due*g)
-		s.tel.opSteps.Observe(float64(n))
-		s.tel.expSDC.Add(sdc * g)
-		s.tel.expDUE.Add(due * g)
+		s.pend.opSteps.Observe(float64(n))
+		s.pend.expSDC += sdc * g
+		s.pend.expDUE += due * g
 		if checked {
-			s.tel.checks.Inc()
+			s.pend.checks++
 		}
 		if corrects {
-			s.tel.expCorr.Add(em.K1Rate(n) * g)
+			s.pend.expCorr += em.K1Rate(n) * g
 		}
 	}
 }
@@ -754,6 +889,7 @@ func (s *system) returnHead(group int) {
 	s.trackSeq(seq)
 	s.acct.ShiftNJ += s.shiftE.SeqNJ(seq, owrite)
 	s.rtm.MoveHead(group, h, -1, len(seq))
+	s.pend.distance.Observe(float64(h))
 }
 
 // flushShift accounts the off-path writeback round-trip of a promotion-
@@ -771,7 +907,7 @@ func (s *system) flushShift(set, way int) {
 		s.trackSeq(seq)
 		s.acct.ShiftNJ += s.shiftE.SeqNJ(seq, owrite)
 	}
-	s.tel.promoFlushes.Inc()
+	s.pend.promoFlushes++
 	s.tracer.Emit(telemetry.EventPromoFlush, s.lastShiftCycle, int64(set), int64(way), 0)
 	_ = group
 }

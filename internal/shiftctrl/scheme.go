@@ -5,7 +5,11 @@
 // tape controller for end-to-end protection of a single stripe.
 package shiftctrl
 
-import "racetrack/hifi/internal/errmodel"
+import (
+	"fmt"
+
+	"racetrack/hifi/internal/errmodel"
+)
 
 // Scheme is one of the protection configurations evaluated in the paper.
 type Scheme int
@@ -53,6 +57,31 @@ func (s Scheme) String() string {
 	default:
 		return "unknown-scheme"
 	}
+}
+
+// schemeNames is the one table of scheme names the command-line tools
+// accept, short aliases included.
+var schemeNames = map[string]Scheme{
+	"baseline":        Baseline,
+	"none":            Baseline,
+	"sts":             STSOnly,
+	"sed":             SED,
+	"secded":          SECDED,
+	"pecc":            SECDED,
+	"pecco":           PECCO,
+	"pecc-o":          PECCO,
+	"worst":           PECCSWorst,
+	"pecc-s-worst":    PECCSWorst,
+	"adaptive":        PECCSAdaptive,
+	"pecc-s-adaptive": PECCSAdaptive,
+}
+
+// ParseScheme resolves a scheme name as given on a command line.
+func ParseScheme(name string) (Scheme, error) {
+	if s, ok := schemeNames[name]; ok {
+		return s, nil
+	}
+	return 0, fmt.Errorf("unknown scheme %q", name)
 }
 
 // UsesSTS reports whether the scheme applies sub-threshold shift.

@@ -206,23 +206,27 @@ func TestSSESlowClientDoesNotBlockEmit(t *testing.T) {
 	r, done := dialSSE(t, srv.URL, 0)
 	defer done()
 
-	// Emit far more than the subscriber buffer (256) plus any kernel
-	// socket buffering could hold, without reading: Emit must return
-	// promptly every time.
-	emitted := make(chan struct{})
+	// Emit without reading until a delivery drops: the subscriber
+	// buffer (256) and however much the kernel's socket buffers absorb
+	// fill first, so a fixed count can fall short. The cap is far
+	// beyond any socket buffering. Emit must return promptly every time.
+	const maxEmits = 1_000_000
+	emitted := make(chan int, 1)
 	go func() {
-		for i := 0; i < 5000; i++ {
+		n := 0
+		for n < maxEmits && b.Dropped() == 0 {
 			b.Emit(Event{Type: JobFinished, Name: "flood", N: 1})
+			n++
 		}
-		close(emitted)
+		emitted <- n
 	}()
 	select {
-	case <-emitted:
-	case <-time.After(10 * time.Second):
+	case n := <-emitted:
+		if b.Dropped() == 0 {
+			t.Errorf("no dropped deliveries after %d events to a non-reading client", n)
+		}
+	case <-time.After(30 * time.Second):
 		t.Fatal("Emit blocked on a slow SSE client")
-	}
-	if b.Dropped() == 0 {
-		t.Error("expected dropped deliveries for a non-reading client")
 	}
 	// The stream itself is still coherent from the start.
 	frames := readFrames(t, r, 1)

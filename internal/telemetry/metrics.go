@@ -130,6 +130,56 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
+// HistogramTally accumulates observations for one Histogram in plain
+// fields and publishes them in a block with Publish. It is for a single
+// goroutine; the target histogram may be shared. A tally of a nil
+// *Histogram, like the zero value, is inert.
+type HistogramTally struct {
+	h      *Histogram
+	counts []uint64 // per bucket, +Inf last
+	sum    float64
+	count  uint64
+}
+
+// NewHistogramTally returns an empty tally that publishes into h.
+func NewHistogramTally(h *Histogram) HistogramTally {
+	if h == nil {
+		return HistogramTally{}
+	}
+	return HistogramTally{h: h, counts: make([]uint64, len(h.counts))}
+}
+
+// Observe records one sample in the tally.
+func (t *HistogramTally) Observe(v float64) {
+	if t.h == nil {
+		return
+	}
+	i := 0
+	for i < len(t.h.bounds) && v > t.h.bounds[i] {
+		i++
+	}
+	t.counts[i]++
+	t.sum += v
+	t.count++
+}
+
+// Publish adds the tallied observations to the histogram and empties the
+// tally.
+func (t *HistogramTally) Publish() {
+	if t.count == 0 {
+		return
+	}
+	for i, c := range t.counts {
+		if c != 0 {
+			t.h.counts[i].Add(c)
+			t.counts[i] = 0
+		}
+	}
+	addFloat(&t.h.sum, t.sum)
+	t.h.count.Add(t.count)
+	t.sum, t.count = 0, 0
+}
+
 // addFloat atomically adds v to the float64 stored in bits.
 func addFloat(bits *atomic.Uint64, v float64) {
 	for {

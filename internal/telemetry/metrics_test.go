@@ -147,6 +147,44 @@ func TestConcurrentRegistration(t *testing.T) {
 	}
 }
 
+// TestHistogramTally checks that a published tally leaves the histogram
+// exactly as direct observation would, that nothing shows before
+// Publish, and that nil and zero-value tallies are inert.
+func TestHistogramTally(t *testing.T) {
+	r := NewRegistry()
+	direct := r.Histogram("direct", "", []float64{1, 2, 4})
+	tallied := r.Histogram("tallied", "", []float64{1, 2, 4})
+	tally := NewHistogramTally(tallied)
+	for round := 0; round < 3; round++ {
+		for _, v := range []float64{0.5, 1, 1.5, 2, 3, 4, 100} {
+			direct.Observe(v)
+			tally.Observe(v)
+		}
+		if round == 0 && tallied.Count() != 0 {
+			t.Fatalf("tally published %d observations before Publish", tallied.Count())
+		}
+		tally.Publish()
+		tally.Publish() // an empty Publish adds nothing
+	}
+	snap := r.Snapshot()
+	d, tl := snap.Histograms[0], snap.Histograms[1]
+	if tl.Count != d.Count || tl.Sum != d.Sum {
+		t.Fatalf("tallied count/sum = %d/%v, direct %d/%v", tl.Count, tl.Sum, d.Count, d.Sum)
+	}
+	for i := range d.Counts {
+		if tl.Counts[i] != d.Counts[i] {
+			t.Fatalf("tallied buckets %v, direct %v", tl.Counts, d.Counts)
+		}
+	}
+
+	nilTally := NewHistogramTally(nil)
+	var zero HistogramTally
+	for _, inert := range []*HistogramTally{&nilTally, &zero} {
+		inert.Observe(3)
+		inert.Publish()
+	}
+}
+
 func TestAddFloatExactness(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c", "")

@@ -142,6 +142,17 @@ func (s *Sampler) Ticks() int64 {
 	return s.ticks.Load()
 }
 
+// UntilCut returns how many ticks remain before the next window
+// boundary, in [1, Every] (0 for nil). A caller that tallies its series
+// and ticks in batches ends each batch there, so its windows keep the
+// tick ranges that ticking one at a time would give.
+func (s *Sampler) UntilCut() int {
+	if s == nil {
+		return 0
+	}
+	return int(s.every - s.ticks.Load()%s.every)
+}
+
 // Mark annotates the next cut window with a label (phase boundaries,
 // workload starts). Nil-safe.
 func (s *Sampler) Mark(label string) {

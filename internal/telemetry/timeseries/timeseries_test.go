@@ -19,6 +19,9 @@ func TestNilSamplerIsNoOp(t *testing.T) {
 	if got := s.Ticks(); got != 0 {
 		t.Errorf("Ticks = %d", got)
 	}
+	if got := s.UntilCut(); got != 0 {
+		t.Errorf("UntilCut = %d", got)
+	}
 	se := s.Export()
 	if se.Schema != SchemaV1 || len(se.Windows) != 0 {
 		t.Errorf("nil export = %+v", se)
@@ -101,6 +104,20 @@ func TestTickCrossingMidWindow(t *testing.T) {
 	}
 	if se.Windows[0].EndTick != 250 {
 		t.Errorf("end tick = %d", se.Windows[0].EndTick)
+	}
+}
+
+func TestUntilCut(t *testing.T) {
+	s := New(telemetry.NewRegistry(), Options{Every: 100})
+	for _, c := range []struct{ tick, want int }{{0, 100}, {30, 70}, {70, 100}, {150, 50}} {
+		s.Tick(c.tick)
+		if got := s.UntilCut(); got != c.want {
+			t.Errorf("after %d ticks UntilCut = %d, want %d", s.Ticks(), got, c.want)
+		}
+	}
+	s.Cut() // a forced cut does not move the boundaries
+	if got := s.UntilCut(); got != 50 {
+		t.Errorf("after Cut UntilCut = %d, want 50", got)
 	}
 }
 
