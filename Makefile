@@ -9,7 +9,7 @@
 #   make engine-smoke    parallel-sweep determinism + cache-reuse check
 #   make watch-smoke     event stream end-to-end: -events-out log + hifi-watch -once
 #   make serve-smoke     hifi-serve daemon end-to-end: submit, stream, drain
-#   make serve-crash-smoke  kill -9 mid-job, restart -resume, recovery checks
+#   make serve-crash-smoke  kill -9 mid-job / SIGTERM drain, restart -resume, recovery checks
 #   make chaos           fault-injection tests + seeded campaign + off==nominal
 #   make fidelity        scaled sweep scored against the paper anchors
 #   make report          render the evaluation report (scaled)
@@ -132,12 +132,13 @@ watch-smoke:
 serve-smoke:
 	bash scripts/serve_smoke.sh
 
-# serve-crash-smoke is the kill -9 story (docs/serve.md, "Restart
+# serve-crash-smoke is the restart story (docs/serve.md, "Restart
 # recovery & the job index"): boot a daemon, SIGKILL it mid-job, restart
 # with -resume against the same cache dir, and assert the completed
 # job's status and byte-identical tables survive (executed=0) while the
-# interrupted job re-queues under its original id. The choreography
-# lives in scripts/serve_crash_smoke.sh.
+# interrupted job re-queues under its original id; then the same after
+# a graceful SIGTERM drain with one job running and one queued. The
+# choreography lives in scripts/serve_crash_smoke.sh.
 serve-crash-smoke:
 	bash scripts/serve_crash_smoke.sh
 

@@ -10,8 +10,9 @@ package hifi
 //
 // This is device-level resume: the unit is one simulated memory's image.
 // Sweep-level resume — which (config, workload) jobs of a multi-
-// experiment sweep already have results — is the separate journal in
-// internal/engine; see docs/engine.md for why the two layers stay apart.
+// experiment sweep already have results — is the content-addressed
+// result cache in internal/engine; see docs/engine.md for why the two
+// layers stay apart.
 
 import (
 	"bufio"

@@ -12,7 +12,7 @@
 //	hifi-chaos -scaled -cache-dir .hificache -jobs 8
 //
 // Each (scheme, intensity, workload) simulation is one engine job, so
-// -cache-dir/-resume/-jobs behave exactly as in hifi-experiments; the
+// -cache-dir/-jobs behave exactly as in hifi-experiments; the
 // fault plan is part of each job's fingerprint, so injected and nominal
 // results never share cache entries.
 package main
@@ -70,10 +70,7 @@ func main() {
 	}
 
 	ctx := obs.Start()
-	eng, err := engFlags.Build(obs)
-	if err != nil {
-		log.Fatalf("hifi-chaos: %v", err)
-	}
+	eng := engFlags.Build(obs)
 
 	run := experiments.DefaultRunOpts()
 	if *scaled {

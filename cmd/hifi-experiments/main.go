@@ -18,8 +18,7 @@
 // Parallel sweeps (see docs/engine.md):
 //
 //	hifi-experiments -jobs 8                        # 8 simulation workers
-//	hifi-experiments -cache-dir .hificache          # content-addressed result reuse
-//	hifi-experiments -cache-dir .hificache -resume  # continue an interrupted sweep
+//	hifi-experiments -cache-dir .hificache          # result reuse; a rerun continues an interrupted sweep
 package main
 
 import (
@@ -74,10 +73,7 @@ func main() {
 	// artifacts still flush through obs.Finish.
 	ctx, stopSignals := cliutil.SignalContext(ctx, "hifi-experiments")
 	defer stopSignals()
-	eng, err := engFlags.Build(obs)
-	if err != nil {
-		log.Fatalf("hifi-experiments: %v", err)
-	}
+	eng := engFlags.Build(obs)
 
 	opts := experiments.DefaultRunOpts()
 	if *scaled {

@@ -57,10 +57,7 @@ func main() {
 		obs.EnableSpans()
 	}
 	ctx := obs.Start()
-	eng, err := engFlags.Build(obs)
-	if err != nil {
-		log.Fatalf("hifi-report: %v", err)
-	}
+	eng := engFlags.Build(obs)
 
 	opts := experiments.DefaultRunOpts()
 	if *scaled {

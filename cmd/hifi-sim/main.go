@@ -98,10 +98,7 @@ func main() {
 	flag.Parse()
 	obs.EnableMetrics() // the progress line reads the run gauges
 	ctx := obs.Start()
-	eng, err := engFlags.Build(obs)
-	if err != nil {
-		log.Fatalf("hifi-sim: %v", err)
-	}
+	eng := engFlags.Build(obs)
 
 	w, err := trace.ByName(*workload)
 	if err != nil {

@@ -8,13 +8,10 @@ package cliutil
 
 import (
 	"flag"
-	"fmt"
-	"path/filepath"
 	"runtime"
 	"time"
 
 	"racetrack/hifi/internal/engine"
-	"racetrack/hifi/internal/telemetry"
 	"racetrack/hifi/internal/telemetry/log"
 )
 
@@ -27,8 +24,6 @@ type EngineFlags struct {
 	retries       *int
 	backoff       *time.Duration
 	jobTimeout    *time.Duration
-
-	journal *engine.Journal
 }
 
 // NewEngineFlags registers the engine flags on the default flag set.
@@ -45,7 +40,7 @@ func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	ef.cacheMaxBytes = fs.Int64("cache-max-bytes", 0,
 		"size budget for the result cache; least-recently-accessed objects are evicted above it (0 = unlimited)")
 	ef.resume = fs.Bool("resume", false,
-		"resume an interrupted sweep from the journal in -cache-dir")
+		"deprecated no-op: a rerun with the same -cache-dir already skips finished jobs")
 	ef.retries = fs.Int("job-retries", 1,
 		"re-executions of a failed job before the failure is permanent")
 	ef.backoff = fs.Duration("retry-backoff", 250*time.Millisecond,
@@ -56,19 +51,18 @@ func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
 }
 
 // Build assembles the engine the parsed flags describe: worker pool
-// width, result cache, resume journal, metrics from the Obs registry,
-// and — when the Obs status server is up — the /engine route. Call
-// after Obs.Start so the registry and mux exist.
+// width, result cache, metrics from the Obs registry, and — when the
+// Obs status server is up — the /engine route. Call after Obs.Start so
+// the registry and mux exist.
 //
 // An unusable cache directory (unwritable disk, bad permissions) is a
 // degradation, not a failure: Build warns once and returns a cache-less
 // engine, so a sweep on a sick machine still completes — it just
-// cannot reuse or journal its results.
-func (ef *EngineFlags) Build(o *Obs) (*engine.Engine, error) {
+// cannot reuse its results.
+func (ef *EngineFlags) Build(o *Obs) *engine.Engine {
 	opts := engine.Options{
 		Workers:      *ef.jobs,
 		Retries:      *ef.retries,
-		Resume:       *ef.resume,
 		RetryBackoff: *ef.backoff,
 		JobTimeout:   *ef.jobTimeout,
 	}
@@ -76,13 +70,13 @@ func (ef *EngineFlags) Build(o *Obs) (*engine.Engine, error) {
 		opts.Metrics = o.Reg
 		opts.Events = o.Events
 	}
-	if *ef.resume && *ef.cacheDir == "" {
-		return nil, fmt.Errorf("-resume requires -cache-dir (the journal lives in the cache directory)")
+	if *ef.resume {
+		log.Infof("engine: -resume is a no-op: a rerun with the same -cache-dir already skips finished jobs")
 	}
 	if *ef.cacheDir != "" {
 		cache, err := engine.OpenCache(*ef.cacheDir, "")
 		if err != nil {
-			log.Errorf("engine: %v; continuing without cache or journal (results will not be reused)", err)
+			log.Errorf("engine: %v; continuing without cache (results will not be reused)", err)
 		} else {
 			opts.Cache = cache
 			if o != nil {
@@ -90,24 +84,6 @@ func (ef *EngineFlags) Build(o *Obs) (*engine.Engine, error) {
 			}
 			if *ef.cacheMaxBytes > 0 {
 				cache.SetMaxBytes(*ef.cacheMaxBytes)
-			}
-			journal, err := engine.OpenJournal(filepath.Join(*ef.cacheDir, "journal.jsonl"), *ef.resume)
-			if err != nil {
-				log.Errorf("engine: %v; continuing without journal (sweep will not be resumable)", err)
-				opts.Resume = false
-			} else {
-				opts.Journal = journal
-				ef.journal = journal
-				if *ef.resume {
-					log.Infof("engine: resuming, journal lists %d completed job(s)", journal.Len())
-				}
-				if skipped := journal.Skipped(); skipped > 0 {
-					log.Errorf("engine: journal had %d corrupt record(s); the jobs they named will re-resolve", skipped)
-					if o != nil && o.Reg != nil {
-						o.Reg.Counter(telemetry.MetricEngineJournalSkipped,
-							"journal records skipped as corrupt on resume").Add(float64(skipped))
-					}
-				}
 			}
 		}
 	}
@@ -119,19 +95,13 @@ func (ef *EngineFlags) Build(o *Obs) (*engine.Engine, error) {
 		o.SetPerfResources(func() any { return eng.Resources() })
 		o.Health.SetInFlight(eng.InFlight)
 	}
-	return eng, nil
+	return eng
 }
 
-// Finish logs the engine's sweep-wide summary line and closes the
-// journal. Safe to call with a nil engine (flags registered, Build
-// never called).
+// Finish logs the engine's sweep-wide summary line. Safe to call with
+// a nil engine (flags registered, Build never called).
 func (ef *EngineFlags) Finish(eng *engine.Engine) {
 	if eng != nil {
 		log.Infof("%s", eng.Summary())
-	}
-	if ef.journal != nil {
-		if err := ef.journal.Close(); err != nil {
-			log.Errorf("engine: close journal: %v", err)
-		}
 	}
 }

@@ -28,36 +28,41 @@ func TestBuildDegradesWhenCacheDirUnusable(t *testing.T) {
 		t.Fatal(err)
 	}
 	ef := parse(t, "-cache-dir", blocker, "-jobs", "2")
-	eng, err := ef.Build(nil)
-	if err != nil {
-		t.Fatalf("unusable cache dir must degrade, not error: %v", err)
-	}
+	eng := ef.Build(nil)
 	if eng == nil {
-		t.Fatal("no engine returned")
+		t.Fatal("unusable cache dir must degrade to a cache-less engine, not fail")
 	}
 	ef.Finish(eng)
 }
 
-func TestBuildResumeStillRequiresCacheDir(t *testing.T) {
-	ef := parse(t, "-resume")
-	if _, err := ef.Build(nil); err == nil {
-		t.Fatal("-resume without -cache-dir must stay an error (explicit user intent)")
+// -resume is a deprecated no-op: the result cache already records
+// which jobs finished, so it is accepted with or without -cache-dir.
+func TestBuildAcceptsResumeAsNoOp(t *testing.T) {
+	for name, args := range map[string][]string{
+		"without cache dir": {"-resume"},
+		"with cache dir":    {"-resume", "-cache-dir", t.TempDir()},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ef := parse(t, args...)
+			eng := ef.Build(nil)
+			if eng == nil {
+				t.Fatal("no engine returned")
+			}
+			ef.Finish(eng)
+		})
 	}
 }
 
 func TestBuildWiresRobustnessOptions(t *testing.T) {
 	dir := t.TempDir()
 	ef := parse(t, "-cache-dir", dir, "-retry-backoff", "1ms", "-job-timeout", "5s", "-job-retries", "3")
-	eng, err := ef.Build(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := ef.Build(nil)
 	if eng == nil {
 		t.Fatal("no engine returned")
 	}
 	ef.Finish(eng)
-	// The journal must exist: Build opened it for the writable dir.
-	if _, err := os.Stat(filepath.Join(dir, "journal.jsonl")); err != nil {
-		t.Errorf("journal not created: %v", err)
+	// The cache must exist: Build opened it for the writable dir.
+	if _, err := os.Stat(filepath.Join(dir, "objects")); err != nil {
+		t.Errorf("cache not created: %v", err)
 	}
 }

@@ -4,7 +4,7 @@ package engine
 // SHA-256 of (schema | code version | job key), laid out git-style as
 // <dir>/objects/<hh>/<hash>.json so one directory never holds millions
 // of entries. Writes are atomic (temp file + rename), so a killed sweep
-// can never leave a truncated payload behind for -resume to trust.
+// can never leave a truncated payload behind for a rerun to trust.
 //
 // Atomicity protects against torn writes, not against the disk itself:
 // a bit flip, an fsck truncation, or an operator editing an object by

@@ -2,17 +2,16 @@
 // independent deterministic jobs — one per (experiment, config, seed)
 // tuple — into a fault-tolerant schedule over a bounded worker pool.
 //
-// The three pillars, each optional and composable:
+// The two pillars, each optional and composable:
 //
 //   - A worker pool (default runtime.NumCPU()) executes jobs with
 //     per-job panic isolation and a bounded retry budget, so one bad
 //     configuration cannot take down a multi-hour sweep.
 //   - A content-addressed on-disk cache (Cache) keyed by a canonical
 //     hash of the resolved job inputs plus the code version, so
-//     re-running a sweep only executes jobs whose inputs changed.
-//   - An append-only journal (Journal) records every completed job, so
-//     an interrupted sweep resumes where it stopped (-resume) instead
-//     of starting over.
+//     re-running a sweep only executes jobs whose inputs changed — and
+//     an interrupted sweep rerun over the same cache picks up where it
+//     stopped, since every job it finished is already stored.
 //
 // Determinism is the core contract: job functions must be pure in their
 // Key, and every result — fresh or cached — is canonicalized through the
@@ -85,11 +84,6 @@ type Options struct {
 	Workers int
 	// Cache enables content-addressed result reuse; nil disables it.
 	Cache *Cache
-	// Journal records completed jobs for resumability; nil disables it.
-	Journal *Journal
-	// Resume skips jobs already recorded in the journal whose payloads
-	// are still in the cache.
-	Resume bool
 	// Retries is how many times a failed (error or panic) job is
 	// re-executed before the failure is permanent. Negative means 0.
 	Retries int
@@ -122,7 +116,6 @@ type Engine struct {
 	executed atomic.Uint64
 	hits     atomic.Uint64
 	misses   atomic.Uint64
-	resumed  atomic.Uint64
 	retries  atomic.Uint64
 	failures atomic.Uint64
 	corrupt  atomic.Uint64
@@ -174,7 +167,6 @@ type engineTelemetry struct {
 	executed *telemetry.Counter
 	hits     *telemetry.Counter
 	misses   *telemetry.Counter
-	resumed  *telemetry.Counter
 	retries  *telemetry.Counter
 	failures *telemetry.Counter
 	corrupt  *telemetry.Counter
@@ -188,8 +180,8 @@ type engineTelemetry struct {
 	gc       *telemetry.Counter
 }
 
-// New builds an engine. The zero Options value is a serial, uncached,
-// unjournaled engine — the drop-in replacement for an inline loop.
+// New builds an engine. The zero Options value is a serial, uncached
+// engine — the drop-in replacement for an inline loop.
 func New(opts Options) *Engine {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.NumCPU()
@@ -204,7 +196,6 @@ func New(opts Options) *Engine {
 			executed: reg.Counter(telemetry.MetricEngineExecuted, "jobs actually executed (cache misses)"),
 			hits:     reg.Counter(telemetry.MetricEngineCacheHits, "jobs served from the result cache"),
 			misses:   reg.Counter(telemetry.MetricEngineCacheMiss, "jobs not found in the result cache"),
-			resumed:  reg.Counter(telemetry.MetricEngineResumed, "jobs skipped via the resume journal"),
 			retries:  reg.Counter(telemetry.MetricEngineRetries, "job re-executions after a panic or error"),
 			failures: reg.Counter(telemetry.MetricEngineFailures, "jobs failed permanently"),
 			corrupt:  reg.Counter(telemetry.MetricEngineCacheCorrupt, "cache objects that failed checksum verification"),
@@ -235,7 +226,6 @@ type Report struct {
 	Payloads  [][]byte
 	Executed  int
 	CacheHits int
-	Resumed   int
 	Retried   int
 	Wall      time.Duration
 }
@@ -245,7 +235,7 @@ type Report struct {
 // that panics or errors is retried up to Retries times and a permanent
 // failure cancels the jobs still queued (in-flight jobs finish) and is
 // returned after the pool drains. Run may be called repeatedly on one
-// engine; the cache, journal, and counters carry across calls.
+// engine; the cache and counters carry across calls.
 func (e *Engine) Run(ctx context.Context, jobs []Job) (*Report, error) {
 	start := time.Now()
 	rep := &Report{Payloads: make([][]byte, len(jobs))}
@@ -318,9 +308,6 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) (*Report, error) {
 		case o.hit:
 			rep.CacheHits++
 		}
-		if o.resumed {
-			rep.Resumed++
-		}
 		rep.Retried += o.retried
 		if o.err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("engine: job %q: %w", label(jobs[i]), o.err)
@@ -343,13 +330,13 @@ func label(j Job) string {
 // outcome is one job's bookkeeping: how it was resolved and whether it
 // failed permanently.
 type outcome struct {
-	executed, hit, resumed bool
-	retried                int
-	err                    error
+	executed, hit bool
+	retried       int
+	err           error
 }
 
-// process resolves one job: resume journal, then cache, then execution
-// with panic isolation and retry. It returns the canonical payload.
+// process resolves one job: cache, then execution with panic isolation
+// and retry. It returns the canonical payload.
 func (e *Engine) process(ctx context.Context, slot int, j Job) (payload []byte, o outcome) {
 	if ctx.Err() != nil {
 		o.err = ctx.Err()
@@ -357,25 +344,10 @@ func (e *Engine) process(ctx context.Context, slot int, j Job) (payload []byte, 
 	}
 	hash := HashKey(e.version(), j.Key)
 
-	// Resume: a journaled job whose payload is still cached is done.
-	if e.opts.Resume && e.opts.Journal.Done(hash) && e.opts.Cache != nil {
-		if p := e.cacheGet(j, hash); p != nil {
-			e.resumed.Add(1)
-			e.hits.Add(1)
-			e.tel.resumed.Inc()
-			e.tel.hits.Inc()
-			e.opts.Events.Emit(events.Event{
-				Type: events.JobCacheHit, Name: label(j), Detail: "resumed",
-			})
-			o.hit, o.resumed = true, true
-			return p, o
-		}
-	}
 	if e.opts.Cache != nil {
 		if p := e.cacheGet(j, hash); p != nil {
 			e.hits.Add(1)
 			e.tel.hits.Inc()
-			e.journal(j, hash, 0, JobResources{})
 			e.opts.Events.Emit(events.Event{Type: events.JobCacheHit, Name: label(j)})
 			o.hit = true
 			return p, o
@@ -465,7 +437,6 @@ func (e *Engine) process(ctx context.Context, slot int, j Job) (payload []byte, 
 		e.cachePut(j, hash, payload)
 		e.executed.Add(1)
 		e.tel.executed.Inc()
-		e.journal(j, hash, attempt+1, res)
 		e.opts.Events.Emit(events.Event{
 			Type: events.JobFinished, Name: label(j), Worker: slot,
 			MS: time.Since(jobStart).Milliseconds(), N: int64(attempt + 1),
@@ -609,27 +580,6 @@ func (e *Engine) account(jobLabel string, r JobResources) {
 		e.maxJobLabel = jobLabel
 	}
 	e.mu.Unlock()
-}
-
-// journal appends a completion record, tolerating a nil journal.
-func (e *Engine) journal(j Job, hash string, attempts int, res JobResources) {
-	if e.opts.Journal == nil {
-		return
-	}
-	entry := Entry{
-		Key:      j.Key,
-		Label:    label(j),
-		Hash:     hash,
-		Attempts: attempts,
-		DurMS:    res.WallMS,
-	}
-	if attempts > 0 {
-		// Cache hits cost nothing; only executed jobs carry an account.
-		entry.Resources = &res
-	}
-	if err := e.opts.Journal.Append(entry); err != nil {
-		log.Errorf("engine: journal %s: %v", label(j), err)
-	}
 }
 
 func (e *Engine) version() string {

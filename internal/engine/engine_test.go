@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -186,19 +184,19 @@ func TestFailureCancelsQueuedJobs(t *testing.T) {
 	}
 }
 
+// An interrupted sweep needs no separate resume record: every job it
+// finished is already in the content-addressed cache, so a rerun over
+// the same cache directory executes only the unfinished jobs. (The
+// name predates the removal of the sweep journal; the cache is the
+// record now.)
 func TestJournalResumeSkipsCompleted(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := OpenCache(dir, "v-test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	jpath := filepath.Join(dir, "journal.jsonl")
-	j1, err := OpenJournal(jpath, false)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// First sweep dies on job 5: jobs 0-4 complete and are journaled.
+	// First sweep dies on job 5: jobs 0-4 complete and are cached.
 	var execs atomic.Int64
 	jobs := make([]Job, 10)
 	for i := range jobs {
@@ -215,49 +213,35 @@ func TestJournalResumeSkipsCompleted(t *testing.T) {
 			},
 		}
 	}
-	_, err = New(Options{Workers: 1, Cache: cache, Journal: j1, Retries: 0}).
+	_, err = New(Options{Workers: 1, Cache: cache, Retries: 0}).
 		Run(context.Background(), jobs)
 	if err == nil {
 		t.Fatal("crash did not surface")
 	}
-	j1.Close()
 	firstPass := execs.Load()
 	if firstPass != 5 {
 		t.Fatalf("first pass executed %d jobs, want 5 (serial order up to the crash)", firstPass)
 	}
 
-	// Simulate a torn final line from a kill mid-write.
-	f, err := os.OpenFile(jpath, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"seq":99,"key":"torn`)
-	f.Close()
-
-	// Second sweep resumes: the crash is "fixed", journaled jobs skip.
+	// Second sweep in a fresh engine over the same directory: the crash
+	// is "fixed", cached jobs are hits.
 	jobs[5].Fn = func(ctx context.Context) (any, error) {
 		execs.Add(1)
 		return 50, nil
 	}
-	j2, err := OpenJournal(jpath, true)
+	cache2, err := OpenCache(dir, "v-test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j2.Len() != 5 {
-		t.Fatalf("journal entries after torn-line load = %d, want 5", j2.Len())
-	}
-	cache2, _ := OpenCache(dir, "v-test")
-	rep, err := New(Options{Workers: 1, Cache: cache2, Journal: j2, Resume: true}).
-		Run(context.Background(), jobs)
+	rep, err := New(Options{Workers: 1, Cache: cache2}).Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
-	}
-	j2.Close()
-	if rep.Resumed != 5 {
-		t.Errorf("resumed = %d, want 5", rep.Resumed)
 	}
 	if got := execs.Load() - firstPass; got != 5 {
-		t.Errorf("second pass executed %d jobs, want 5 (only the uncompleted tail)", got)
+		t.Errorf("second pass executed %d jobs, want 5 (only the unfinished tail)", got)
+	}
+	if rep.Executed != 5 || rep.CacheHits != 5 {
+		t.Errorf("second pass executed/hits = %d/%d, want 5/5", rep.Executed, rep.CacheHits)
 	}
 	out, err := DecodeAll[int](rep.Payloads)
 	if err != nil {
@@ -302,7 +286,7 @@ func TestMetricsAndStatus(t *testing.T) {
 	if s.Jobs != 12 || s.Executed != 6 || s.CacheHits != 6 || s.Failures != 0 {
 		t.Errorf("status = %+v", s)
 	}
-	want := "engine: 12 jobs, 6 executed, 6 cache hits, 0 resumed, 0 retries, 0 failures, 0 corrupt, 0 timeouts"
+	want := "engine: 12 jobs, 6 executed, 6 cache hits, 0 retries, 0 failures, 0 corrupt, 0 timeouts"
 	if e.Summary() != want {
 		t.Errorf("summary = %q, want %q", e.Summary(), want)
 	}
@@ -414,16 +398,11 @@ func TestKeyJSONStable(t *testing.T) {
 }
 
 // TestResourceAccounting: executed jobs accumulate wall/CPU/alloc/GC
-// totals, cache hits do not, and journal entries carry the per-job
-// account only for executed jobs.
+// totals, cache hits do not.
 func TestResourceAccounting(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	dir := t.TempDir()
 	cache, err := OpenCache(dir, "v-test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	journal, err := OpenJournal(filepath.Join(dir, "journal.jsonl"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +421,7 @@ func TestResourceAccounting(t *testing.T) {
 			},
 		}
 	}
-	e := New(Options{Workers: 2, Cache: cache, Journal: journal, Metrics: reg})
+	e := New(Options{Workers: 2, Cache: cache, Metrics: reg})
 	if _, err := e.Run(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
@@ -473,31 +452,5 @@ func TestResourceAccounting(t *testing.T) {
 	}
 	if warm.AllocBytes != rs.AllocBytes || warm.JobCPUMS != rs.JobCPUMS {
 		t.Errorf("cache hits accrued resources: cold %+v warm %+v", rs, warm)
-	}
-	if err := journal.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Journal: executed entries carry resources, cache-hit entries do not.
-	back, err := OpenJournal(filepath.Join(dir, "journal.jsonl"), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = back.Close() }()
-	var withRes, without int
-	for _, en := range back.done {
-		if en.Resources != nil {
-			withRes++
-			if en.Resources.AllocBytes < 1<<20 {
-				t.Errorf("entry %s alloc = %d, want >= 1MiB", en.Label, en.Resources.AllocBytes)
-			}
-		} else {
-			without++
-		}
-	}
-	// done is keyed by hash, so the warm hits overwrote the executed
-	// entries; reloaded state reflects the latest record per job.
-	if withRes+without != 4 {
-		t.Errorf("journal entries = %d, want 4", withRes+without)
 	}
 }

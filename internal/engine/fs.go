@@ -1,6 +1,6 @@
 package engine
 
-// The engine's persistence (cache objects, the journal) goes through the
+// The engine's persistence (cache objects, the serve job index) goes through the
 // narrow FS interface instead of the os package directly, so the fault
 // tests in engine/faultfs can interpose torn writes, read errors,
 // corruption, and stalls without touching the real filesystem code
@@ -30,9 +30,8 @@ type FS interface {
 	// it to touch objects on read, so eviction under a size budget is
 	// access-ordered rather than write-ordered.
 	Chtimes(path string, t time.Time) error
-	// OpenAppend opens path for appending (creating it if needed);
-	// truncate discards existing content first.
-	OpenAppend(path string, truncate bool) (io.WriteCloser, error)
+	// OpenAppend opens path for appending, creating it if needed.
+	OpenAppend(path string) (io.WriteCloser, error)
 }
 
 type osFS struct{}
@@ -56,12 +55,8 @@ func (osFS) Remove(path string) error             { return os.Remove(path) }
 func (osFS) Chtimes(path string, t time.Time) error {
 	return os.Chtimes(path, t, t)
 }
-func (osFS) OpenAppend(path string, truncate bool) (io.WriteCloser, error) {
-	flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
-	if truncate {
-		flags |= os.O_TRUNC
-	}
-	return os.OpenFile(path, flags, 0o644)
+func (osFS) OpenAppend(path string) (io.WriteCloser, error) {
+	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
 // OS returns the real-filesystem implementation of FS.

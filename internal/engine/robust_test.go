@@ -1,8 +1,7 @@
 package engine
 
 // Robustness tests: checksum verification and quarantine on cache
-// reads, skip-and-log for corrupt journal records, per-job timeouts,
-// and retry backoff. The end-to-end chaos sweep (filesystem faults via
+// reads, per-job timeouts, and retry backoff. The end-to-end chaos sweep (filesystem faults via
 // engine/faultfs) lives in faultfs's own tests to keep the import
 // graph acyclic.
 
@@ -125,43 +124,6 @@ func TestEngineRecomputesCorruptObject(t *testing.T) {
 	}
 	if out[3]["square"] != 9 {
 		t.Errorf("recomputed payload = %v", out[3])
-	}
-}
-
-func TestJournalSkipsCorruptMiddleRecord(t *testing.T) {
-	dir := t.TempDir()
-	jpath := filepath.Join(dir, "journal.jsonl")
-	good := func(seq int, hash string) string {
-		return fmt.Sprintf(`{"seq":%d,"key":"k%d","hash":%q,"attempts":1,"dur_ms":1}`, seq, seq, hash)
-	}
-	content := good(1, "aaa") + "\n" +
-		`{"seq":2,"key":"k2","ha` + "\n" + // damaged middle record
-		"not json at all\n" + // a second damaged record
-		good(4, "ddd") + "\n" +
-		`{"seq":9,"key":"torn` // torn tail: tolerated, not counted
-	if err := os.WriteFile(jpath, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, err := OpenJournal(jpath, true)
-	if err != nil {
-		t.Fatalf("resume must survive middle corruption: %v", err)
-	}
-	defer j.Close()
-	if j.Len() != 2 {
-		t.Errorf("loaded %d entries, want 2", j.Len())
-	}
-	if !j.Done("aaa") || !j.Done("ddd") {
-		t.Error("intact records around the damage were lost")
-	}
-	if j.Skipped() != 2 {
-		t.Errorf("skipped = %d, want 2 (the torn tail is not corruption)", j.Skipped())
-	}
-	// Appends continue past the highest surviving sequence number.
-	if err := j.Append(Entry{Key: "k5", Hash: "eee"}); err != nil {
-		t.Fatal(err)
-	}
-	if !j.Done("eee") {
-		t.Error("append after damaged load not recorded")
 	}
 }
 

@@ -44,8 +44,7 @@ type RunOpts struct {
 	// keyed closures whose signatures the CLI iterates over.
 	Ctx context.Context
 	// Eng executes the simulation jobs the experiments enumerate: worker
-	// pool, content-addressed result cache, resume journal (see
-	// docs/engine.md). Nil falls back to a serial, uncached engine that
+	// pool and content-addressed result cache (see docs/engine.md). Nil falls back to a serial, uncached engine that
 	// reproduces the old inline loop exactly.
 	Eng *engine.Engine
 	// FaultPlan optionally runs every racetrack simulation under an

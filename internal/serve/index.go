@@ -2,19 +2,21 @@ package serve
 
 // The crash-safe job index: an append-only NDJSON write-ahead log
 // (hifi_serve_index_v1) under the cache directory that records every
-// admission, start, and terminal transition the daemon performs. A
-// graceful drain already journals still-queued specs; the index is the
-// stronger property — after a kill -9, a restart with -resume can
+// admission, start, and terminal transition the daemon performs. It is
+// the daemon's one restart mechanism: after a kill -9 or a graceful
+// drain, a restart with -resume can
 //
 //   - restore every completed job's status (GET /v1/jobs/{id} keeps
 //     answering across restarts; tables re-materialize lazily through
 //     the shared content-addressed cache with executed=0), and
 //   - re-queue every job that was queued or running when the process
-//     died, under its original ID and trace.
+//     died, or that the drain stopped, under its original ID and trace.
 //
-// The file format mirrors the engine's sweep journal: a schema header
-// line, then one self-delimiting JSON record per line, flushed per
-// append. Replay tolerates the two damage modes a crash can leave:
+// A drain records the jobs it stops as requeued, so replay sees them as
+// queued — the same state a crash leaves them in.
+//
+// The file is a schema header line, then one self-delimiting JSON
+// record per line, flushed per append. Replay tolerates the two damage modes a crash can leave:
 // a torn final line (ignored silently — everything before it is intact
 // by construction) and garbled middle records (skipped and counted in
 // hifi_serve_index_skipped_total; the jobs they describe degrade to
@@ -58,7 +60,7 @@ const indexCompactEvery = 4096
 const (
 	opAdmitted = "admitted"
 	opStarted  = "started"
-	opRequeued = "requeued" // restart recovery re-queued an interrupted job
+	opRequeued = "requeued" // a drain stopped the job, or restart recovery re-queued it
 	opSnapshot = "snapshot" // compaction: one authoritative record per job
 )
 
@@ -155,7 +157,7 @@ func openIndex(path string, fsys engine.FS, compactEvery int, tel indexTelemetry
 		log.Errorf("serve: job index %s unreadable: %v; starting without recovered jobs", path, err)
 	}
 
-	w, err := fsys.OpenAppend(path, false)
+	w, err := fsys.OpenAppend(path)
 	if err != nil {
 		ix.degraded = true
 		ix.tel.writeErrors.Inc()
@@ -399,7 +401,7 @@ func (ix *jobIndex) compactWith(gather func() []indexRecord) {
 	if ix.w != nil {
 		_ = ix.w.Close()
 	}
-	w, err := ix.fsys.OpenAppend(ix.path, false)
+	w, err := ix.fsys.OpenAppend(ix.path)
 	if err != nil {
 		// The compacted file is intact on disk; only live appends stop.
 		ix.w = nil

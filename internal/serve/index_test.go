@@ -1,7 +1,7 @@
 package serve
 
 // Crash-safety tests for the job index: a hard-stopped daemon (no
-// drain, no journal) must come back with every completed job queryable
+// drain) must come back with every completed job queryable
 // and every interrupted job re-queued, torn WAL tails must replay
 // cleanly, and a disk that refuses writes must degrade the index — not
 // submissions. All run under -race in CI.
@@ -19,8 +19,8 @@ import (
 // crashStop emulates kill -9 as closely as an in-process test can: the
 // index stops writing first (the WAL on disk stays exactly as the crash
 // would leave it), then the runners are torn down without any of the
-// drain protocol — no queued-spec journal, no compaction, no terminal
-// records for whatever was in flight.
+// drain protocol — no compaction, no terminal or requeued records for
+// whatever was queued or in flight.
 func (s *Server) crashStop() {
 	s.index.seal()
 	s.mu.Lock()
@@ -82,11 +82,7 @@ func TestCrashRecoveryRestoresAndRequeues(t *testing.T) {
 	opts2 := testOptions(t)
 	opts2.CacheDir = opts.CacheDir
 	srv2 := newTestServer(t, opts2)
-	n, err := srv2.Resume()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
+	if n := srv2.Resume(); n != 2 {
 		t.Fatalf("resume re-queued %d job(s), want 2", n)
 	}
 

@@ -43,7 +43,7 @@ type Job struct {
 	// TraceID is the 32-hex W3C trace ID of the submission that created
 	// the job: the correlation key across the access log, the event
 	// streams (the job bus stamps it on every event), the span export,
-	// and the drain journal. Unlike Fingerprint it is per-request, not
+	// and the job index. Unlike Fingerprint it is per-request, not
 	// per-content — a deduped submission keeps the original job's trace.
 	TraceID string
 	// Spec is the normalized spec the job runs.
@@ -77,6 +77,10 @@ type Job struct {
 	// run by this process. A restored done job holds no tables until a
 	// results read re-materializes them through the shared cache.
 	restored bool
+	// drained marks a canceled job that a drain stopped (popped from the
+	// queue, or canceled mid-run by the drain deadline). The job index
+	// records it as queued, so -resume re-runs it under its original ID.
+	drained bool
 
 	// rematMu single-flights re-materialization of a restored job's
 	// tables; it is never held together with j.mu.
@@ -256,9 +260,30 @@ func (j *Job) setMaterialized(st engine.Status, tables map[string]experiments.Ta
 	j.engFinal = &st
 }
 
+// isDrained reports whether a drain stopped the job before it finished.
+func (j *Job) isDrained() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.drained
+}
+
+// terminalRecord renders the index record of the job's terminal
+// transition: its final state, or requeued for a drained job — the same
+// record restart recovery writes, so -resume treats a drained job
+// exactly like one a crash interrupted.
+func (j *Job) terminalRecord() indexRecord {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.drained {
+		return indexRecord{Op: opRequeued, ID: j.ID, TMS: j.finished.UnixMilli()}
+	}
+	return indexRecord{Op: string(j.state), ID: j.ID, Detail: j.detail, TMS: j.finished.UnixMilli()}
+}
+
 // indexSnapshot renders the job's current state as one self-contained
 // index record — what compaction writes so a replay needs only one line
-// per job.
+// per job. A drained job snapshots as queued, as terminalRecord records
+// it.
 func (j *Job) indexSnapshot() indexRecord {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -272,6 +297,10 @@ func (j *Job) indexSnapshot() indexRecord {
 		State:       j.state,
 		Detail:      j.detail,
 		CreatedTMS:  j.created.UnixMilli(),
+	}
+	if j.drained {
+		r.State, r.Detail = StateQueued, ""
+		return r
 	}
 	if !j.started.IsZero() {
 		r.StartedTMS = j.started.UnixMilli()
@@ -299,8 +328,9 @@ func (j *Job) markFailed(st engine.Status, errText string) bool {
 }
 
 // markCanceled finalizes a canceled running job (st is the engine
-// snapshot at unwind). Returns false if the job was already terminal.
-func (j *Job) markCanceled(st *engine.Status, reason string) bool {
+// snapshot at unwind; drained is set when the drain deadline canceled
+// it). Returns false if the job was already terminal.
+func (j *Job) markCanceled(st *engine.Status, reason string, drained bool) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
@@ -308,6 +338,7 @@ func (j *Job) markCanceled(st *engine.Status, reason string) bool {
 	}
 	j.state = StateCanceled
 	j.detail = reason
+	j.drained = drained
 	j.finished = time.Now()
 	j.engFinal = st
 	j.eng = nil
@@ -319,7 +350,8 @@ func (j *Job) markCanceled(st *engine.Status, reason string) bool {
 // queued-cancel can never race the queued→running transition: either
 // this wins and the runner's markStarted returns false, or the runner
 // wins and the caller must cancel via the job's context instead.
-func (j *Job) markCanceledIfQueued(reason string) bool {
+// drained is set when a drain, not a client, cancels the job.
+func (j *Job) markCanceledIfQueued(reason string, drained bool) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateQueued {
@@ -327,6 +359,7 @@ func (j *Job) markCanceledIfQueued(reason string) bool {
 	}
 	j.state = StateCanceled
 	j.detail = reason
+	j.drained = drained
 	j.finished = time.Now()
 	j.eng = nil
 	return true

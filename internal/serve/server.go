@@ -2,12 +2,9 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -62,10 +59,6 @@ type Options struct {
 	// RingCap sizes each job bus's SSE replay ring (0 = events default).
 	// Tests shrink it to force replay gaps.
 	RingCap int
-	// JournalPath is where a drain journals its not-yet-started specs
-	// for -resume ("" = <CacheDir>/serve.journal.json; no cache dir and
-	// no explicit path means drained queue entries are lost).
-	JournalPath string
 	// IndexPath overrides where the crash-safe job index WAL lives
 	// ("" = <CacheDir>/serve.index.ndjson; no cache dir and no explicit
 	// path disables the index — job state is in-memory only, as before
@@ -405,7 +398,7 @@ func (s *Server) Cancel(id string) bool {
 	// (both hold j.mu), so a job a runner has already claimed can only
 	// be canceled through its context — never by a state overwrite that
 	// would race the runner's own terminal transition.
-	if j.markCanceledIfQueued("client") {
+	if j.markCanceledIfQueued("client", false) {
 		// The job is still in the queue channel; the runner that
 		// eventually dequeues it sees the terminal state and skips it
 		// (and owns the queue-depth decrement).
@@ -501,7 +494,8 @@ func (s *Server) runJob(j *Job) {
 			}, s.tel.completed)
 		}
 	case j.ctx.Err() != nil:
-		if j.markCanceled(&st, err.Error()) {
+		drained := errors.Is(context.Cause(j.ctx), errDrainDeadline)
+		if j.markCanceled(&st, err.Error(), drained) {
 			s.finalize(j, events.Event{
 				Type: events.ServeJobCanceled, Name: j.ID, Detail: err.Error(), MS: wall,
 			}, s.tel.canceled)
@@ -536,10 +530,7 @@ func (s *Server) finalize(j *Job, terminal events.Event, ctr *telemetry.Counter)
 	// buses; a crash in between replays as "still running" and the job
 	// re-runs — at-least-once, which the content-addressed cache makes
 	// idempotent.
-	st := j.Status()
-	s.index.append(indexRecord{
-		Op: string(st.State), ID: j.ID, Detail: st.Error, TMS: st.FinishedTMS,
-	})
+	s.index.append(j.terminalRecord())
 	s.maybeCompactIndex()
 	// Job-completion SLO: a finished job is good when its wall time met
 	// the threshold, a failed job is bad, and a cancellation — client's
@@ -557,17 +548,6 @@ func (s *Server) setRunning(delta int) {
 	s.running += delta
 	s.mu.Unlock()
 	s.tel.running.Add(float64(delta))
-}
-
-// journalPath resolves where drained specs are journaled.
-func (s *Server) journalPath() string {
-	if s.opts.JournalPath != "" {
-		return s.opts.JournalPath
-	}
-	if s.opts.CacheDir != "" {
-		return filepath.Join(s.opts.CacheDir, "serve.journal.json")
-	}
-	return ""
 }
 
 // indexPath resolves where the crash-safe job index lives.
@@ -675,13 +655,15 @@ func (s *Server) materialize(j *Job) error {
 	return nil
 }
 
-// Drain is the graceful-shutdown protocol: stop admitting, cancel and
-// journal every job still queued (for a later -resume), let running
-// jobs finish, and — if ctx expires first — cancel them and wait for
-// the unwind. Jobs that were running when the drain began and did NOT
-// finish (the deadline canceled them) are journaled too, marked
-// interrupted, so a drain during execution is resumable rather than
-// only a quiet-queue drain. Returns how many specs were journaled.
+// Drain is the graceful-shutdown protocol: stop admitting, take every
+// job still queued off the queue, let running jobs finish, and — if ctx
+// expires first — cancel them and wait for the unwind. Every job the
+// drain stopped (popped from the queue, or canceled mid-run by the
+// deadline) ends canceled in this process but is recorded as queued in
+// the job index, so a restart with -resume re-queues it under its
+// original ID and trace, exactly as after a crash. Returns how many
+// jobs were left for -resume; without a job index they are lost, and
+// the error says how many.
 func (s *Server) Drain(ctx context.Context) (int, error) {
 	s.mu.Lock()
 	if s.draining {
@@ -700,24 +682,14 @@ drain:
 		}
 	}
 	close(s.queue)
-	// Snapshot what is running right now: if the deadline cancels any
-	// of these, their specs join the journal as interrupted.
-	var runningAtDrain []*Job
-	for _, id := range s.order {
-		if j := s.jobs[id]; j != nil && j.State() == StateRunning {
-			runningAtDrain = append(runningAtDrain, j)
-		}
-	}
 	s.mu.Unlock()
 
-	specs := make([]journalEntry, 0, len(leftovers))
 	for _, j := range leftovers {
 		// Drain popped these from the queue, so the runner's usual -1
 		// never happens; Drain owns the decrement for every popped job,
 		// including ones a client already canceled while queued.
 		s.tel.queueDepth.Add(-1)
-		if j.markCanceledIfQueued("drain") {
-			specs = append(specs, journalEntry{Spec: j.Spec, TraceID: j.TraceID})
+		if j.markCanceledIfQueued("drain", true) {
 			s.finalize(j, events.Event{Type: events.ServeJobCanceled, Name: j.ID, Detail: "drain"}, s.tel.canceled)
 		}
 	}
@@ -732,94 +704,44 @@ drain:
 	case <-ctx.Done():
 		// Deadline: abort in-flight jobs and wait for the unwind — the
 		// engine honors cancellation, so this is bounded.
-		s.baseCancel(fmt.Errorf("serve: drain deadline: %w", context.Cause(ctx)))
+		s.baseCancel(fmt.Errorf("%w: %w", errDrainDeadline, context.Cause(ctx)))
 		<-finished
 	}
 
-	// Now the runners are quiet: any running-at-drain job that ended
-	// canceled was interrupted by the deadline, not by a client, and
-	// its spec is resumable work.
-	interrupted := 0
-	for _, j := range runningAtDrain {
-		if j.State() == StateCanceled {
-			specs = append(specs, journalEntry{Spec: j.Spec, TraceID: j.TraceID, Interrupted: true})
-			interrupted++
-		}
-	}
-
-	var journalErr error
-	if len(specs) > 0 {
-		if path := s.journalPath(); path != "" {
-			journalErr = writeJournal(path, specs)
-			if journalErr == nil {
-				log.Infof("serve: journaled %d spec(s) (%d interrupted mid-run) to %s (submit with -resume)",
-					len(specs), interrupted, path)
-			}
-		} else {
-			journalErr = fmt.Errorf("serve: %d spec(s) dropped (%d interrupted mid-run): no journal path (set -cache-dir)",
-				len(specs), interrupted)
-		}
-	}
-
-	// Leave a tidy index behind: one snapshot per job, terminal states
-	// all recorded, so the next boot replays O(jobs) lines.
+	// Leave a tidy index behind: one snapshot per job, drained jobs as
+	// queued, so the next boot replays O(jobs) lines.
 	s.compactIndex()
-	return len(specs), journalErr
-}
-
-// Resume rebuilds state from the previous process: first the crash-safe
-// job index (terminal jobs become queryable restored jobs; jobs that
-// were queued or running at the crash are re-queued under their
-// original IDs), then the drain journal, if one exists, is re-admitted
-// as fresh jobs. Call before serving traffic. Returns how many jobs
-// were (re-)queued for execution.
-func (s *Server) Resume() (int, error) {
-	n := s.applyRecovered()
-	path := s.journalPath()
-	if path == "" {
-		return n, nil
+	n := 0
+	for _, j := range s.Jobs() {
+		if j.isDrained() {
+			n++
+		}
 	}
-	specs, err := readJournal(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return n, nil
-		}
-		return n, err
-	}
-	if err := os.Remove(path); err != nil {
-		return n, fmt.Errorf("serve: remove journal: %w", err)
-	}
-	for _, entry := range specs {
-		norm, err := entry.Normalize()
-		if err != nil {
-			log.Errorf("serve: resume: dropping journaled spec: %v", err)
-			continue
-		}
-		// Resume the original trace: the re-admitted job's events carry
-		// the trace ID of the submission the drain interrupted, through
-		// a fresh span of this process. A missing or mangled trace ID
-		// (an old-schema journal) just mints a new one.
-		tc := s.tgen.NewContext()
-		if tid, err := tracectx.ParseTraceID(entry.TraceID); err == nil {
-			tc.TraceID = tid
-		}
-		if _, _, err := s.admit(norm, tc); err != nil {
-			log.Errorf("serve: resume: dropping journaled spec: %v", err)
-			continue
-		}
-		n++
+	switch {
+	case n == 0:
+		return 0, nil
+	case s.index == nil:
+		return n, fmt.Errorf("serve: %d drained job(s) dropped: no job index (set -cache-dir)", n)
+	case s.index.Degraded():
+		return n, fmt.Errorf("serve: %d drained job(s) may be lost: the job index is degraded", n)
 	}
 	return n, nil
 }
 
-// applyRecovered installs the jobs the index replay found. Terminal
-// jobs become restored entries in the job table — queryable across the
-// restart, results lazily re-materialized from the shared cache. Jobs
-// the index last saw queued or running were interrupted by the crash:
-// they are re-queued under their ORIGINAL IDs and traces, so a client
-// polling a pre-crash job handle watches it run again rather than
-// getting a 404. Returns how many jobs were re-queued.
-func (s *Server) applyRecovered() int {
+// errDrainDeadline is the cancel cause Drain installs on running jobs
+// when its deadline expires; runJob recognizes it to record the job as
+// drained rather than canceled.
+var errDrainDeadline = errors.New("serve: drain deadline")
+
+// Resume installs the jobs the index replay found; call it before
+// serving traffic. Terminal jobs become restored entries in the job
+// table — queryable across the restart, results lazily re-materialized
+// from the shared cache. Jobs the index last saw queued or running were
+// interrupted by a crash or stopped by a drain: they are re-queued
+// under their ORIGINAL IDs and traces, so a client polling a pre-restart
+// job handle watches it run again rather than getting a 404. Returns
+// how many jobs were re-queued.
+func (s *Server) Resume() int {
 	s.mu.Lock()
 	recovered := s.recovered
 	s.recovered = nil
@@ -847,9 +769,10 @@ func (s *Server) applyRecovered() int {
 			restored++
 			continue
 		}
-		// Queued or running at the crash: re-run. The content-addressed
-		// cache makes the replay idempotent — finished experiments of a
-		// half-done sweep are served from disk, not recomputed.
+		// Queued or running at the crash, or stopped by a drain: re-run.
+		// The content-addressed cache makes the replay idempotent —
+		// finished experiments of a half-done sweep are served from
+		// disk, not recomputed.
 		j := newJob(r.id, r.fingerprint, r.spec, s.baseCtx, s.opts.RingCap, tc)
 		j.Bus.Instrument(s.opts.Metrics)
 		select {
@@ -885,54 +808,4 @@ func (s *Server) applyRecovered() int {
 		s.compactIndex()
 	}
 	return requeued
-}
-
-// journalEntry is one drained job: its spec plus the correlation trace
-// ID the resume re-attaches. Spec embeds flat, so a v1 journal written
-// before trace IDs existed still parses (TraceID stays "").
-type journalEntry struct {
-	Spec
-	TraceID string `json:"trace_id,omitempty"`
-	// Interrupted marks a spec whose job was running when the drain
-	// deadline canceled it — resumable work, not a client cancellation.
-	Interrupted bool `json:"interrupted,omitempty"`
-}
-
-// journalFile is the on-disk drain journal (hifi_serve_journal_v1).
-type journalFile struct {
-	Schema string         `json:"schema"`
-	Jobs   []journalEntry `json:"jobs"`
-}
-
-// JournalSchemaV1 stamps the drain journal.
-const JournalSchemaV1 = "hifi_serve_journal_v1"
-
-func writeJournal(path string, specs []journalEntry) error {
-	b, err := json.MarshalIndent(journalFile{Schema: JournalSchemaV1, Jobs: specs}, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-func readJournal(path string) ([]journalEntry, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var jf journalFile
-	if err := json.Unmarshal(b, &jf); err != nil {
-		return nil, fmt.Errorf("serve: journal %s: %w", path, err)
-	}
-	if jf.Schema != JournalSchemaV1 {
-		return nil, fmt.Errorf("serve: journal %s: unknown schema %q", path, jf.Schema)
-	}
-	return jf.Jobs, nil
 }

@@ -2,13 +2,14 @@ package serve
 
 // The daemon's acceptance tests: byte-identity with the CLI, cross-client
 // dedup through the shared cache, admission control, cancellation, and
-// the drain/journal/resume protocol. All run under -race in CI. Tests
+// the drain/resume protocol. All run under -race in CI. Tests
 // that need jobs frozen in the queue set Options.hold — the runner gate
 // that precedes the dequeue — and release it by closing the channel.
 
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -341,8 +342,9 @@ func TestCancelRunning(t *testing.T) {
 	}
 }
 
-// Drain journals still-queued specs and a fresh server re-admits them
-// with -resume semantics.
+// Drain leaves still-queued jobs queued in the job index (the name
+// predates the removal of the drain journal), and a fresh server's
+// Resume re-queues each of them once, under its original ID.
 func TestDrainJournalsQueueAndResumeReplays(t *testing.T) {
 	opts := testOptions(t)
 	hold := make(chan struct{})
@@ -362,6 +364,131 @@ func TestDrainJournalsQueueAndResumeReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	n, err := drainHeld(srv, release, a)
+	if err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if n != 2 {
+		t.Fatalf("drain left %d job(s) for -resume, want 2", n)
+	}
+	for _, j := range []*Job{ja, jb} {
+		if st := j.State(); st != StateCanceled {
+			t.Fatalf("drained job %s is %s, want canceled", j.ID, st)
+		}
+		last := j.Bus.ReplaySince(0)
+		if e := last[len(last)-1]; e.Type != events.ServeJobCanceled || e.Detail != "drain" {
+			t.Fatalf("drained job %s stream ends with %s/%q, want %s/drain", j.ID, e.Type, e.Detail, events.ServeJobCanceled)
+		}
+	}
+
+	// Same cache dir → same job index; the successor re-queues both
+	// under their original IDs and traces, exactly as after a crash.
+	opts2 := testOptions(t)
+	opts2.CacheDir = opts.CacheDir
+	srv2 := newTestServer(t, opts2)
+	if n := srv2.Resume(); n != 2 {
+		t.Fatalf("resume re-queued %d job(s), want 2", n)
+	}
+	jobs := srv2.Jobs()
+	if len(jobs) != 2 {
+		t.Fatalf("successor has %d job(s), want 2 (each drained job once)", len(jobs))
+	}
+	for i, orig := range []*Job{ja, jb} {
+		j := jobs[i]
+		if j.ID != orig.ID || j.TraceID != orig.TraceID {
+			t.Fatalf("successor job %d is %s (trace %s), want %s (trace %s)", i, j.ID, j.TraceID, orig.ID, orig.TraceID)
+		}
+		if j.Status().Restored {
+			t.Fatalf("re-queued job %s marked restored", j.ID)
+		}
+		waitDone(t, j)
+		if st := j.State(); st != StateDone {
+			t.Fatalf("resumed job %s ended %s (%s)", j.ID, st, j.Status().Error)
+		}
+	}
+	// Nothing is left to recover: a second resume finds nothing.
+	if n := srv2.Resume(); n != 0 {
+		t.Fatalf("second resume re-queued %d job(s), want 0", n)
+	}
+}
+
+// A running job that the drain deadline cancels is left for -resume as
+// well, and comes back under its original ID.
+func TestDrainDeadlineRequeuesRunningJob(t *testing.T) {
+	opts := testOptions(t)
+	opts.Workers = 1
+	srv := New(opts) // drives Drain itself
+
+	// 48 simulations of 10k accesses each: long enough that the drain
+	// deadline lands mid-run, and the engine stops between simulations.
+	spec := quickSpec()
+	spec.Accesses = 10000
+	j, _, err := srv.Submit(spec, "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j.State() == StateQueued {
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // the deadline has already passed
+	n, err := srv.Drain(ctx)
+	if err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if st := j.State(); st != StateCanceled || n != 1 {
+		t.Fatalf("after drain: job %s, %d job(s) left for -resume; want canceled, 1", st, n)
+	}
+	last := j.Bus.ReplaySince(0)
+	if e := last[len(last)-1]; e.Type != events.ServeJobCanceled {
+		t.Fatalf("job stream ends with %s, want %s", e.Type, events.ServeJobCanceled)
+	}
+
+	opts2 := testOptions(t)
+	opts2.CacheDir = opts.CacheDir
+	srv2 := newTestServer(t, opts2)
+	if n := srv2.Resume(); n != 1 {
+		t.Fatalf("resume re-queued %d job(s), want 1", n)
+	}
+	rj, ok := srv2.Job(j.ID)
+	if !ok || len(srv2.Jobs()) != 1 {
+		t.Fatalf("successor jobs %d, want only %s", len(srv2.Jobs()), j.ID)
+	}
+	if rj.TraceID != j.TraceID || rj.Status().Restored {
+		t.Fatalf("re-queued job trace %s restored=%v, want trace %s not restored",
+			rj.TraceID, rj.Status().Restored, j.TraceID)
+	}
+	waitDone(t, rj)
+	if st := rj.State(); st != StateDone {
+		t.Fatalf("resumed job ended %s (%s)", st, rj.Status().Error)
+	}
+}
+
+// Without a cache directory there is no job index: a drain that stops
+// queued jobs reports how many it dropped.
+func TestDrainWithoutIndexReportsDroppedJobs(t *testing.T) {
+	opts := testOptions(t)
+	opts.CacheDir = ""
+	hold := make(chan struct{})
+	opts.hold = hold
+	release := closeOnce(t, hold)
+	srv := New(opts) // drives Drain itself
+	if _, _, err := srv.Submit(quickSpec(), "c"); err != nil {
+		t.Fatal(err)
+	}
+	n, err := drainHeld(srv, release, quickSpec())
+	if n != 1 || err == nil || !strings.Contains(err.Error(), "1 drained job(s) dropped") {
+		t.Fatalf("drain = %d, %v; want 1 and an error naming the dropped job", n, err)
+	}
+}
+
+// drainHeld drains srv while its runners are held. Drain sets draining,
+// empties the queue, and closes it inside one critical section; once a
+// submission of probe sees ErrDraining all of that has happened, so
+// releasing the held runners afterwards cannot race the leftover
+// collection. probe must coalesce onto a queued job, so that probing
+// never adds to the queue.
+func drainHeld(srv *Server, release func(), probe Spec) (int, error) {
 	type drainRes struct {
 		n   int
 		err error
@@ -373,68 +500,15 @@ func TestDrainJournalsQueueAndResumeReplays(t *testing.T) {
 		n, err := srv.Drain(ctx)
 		resc <- drainRes{n, err}
 	}()
-	// Drain sets draining, empties the queue, and closes it inside one
-	// critical section; once a submit sees ErrDraining all of that has
-	// happened, so releasing the held runners afterwards cannot race the
-	// leftover collection.
 	for {
-		if _, _, err := srv.Submit(quickSpec(), "late"); errors.Is(err, ErrDraining) {
+		if _, _, err := srv.Submit(probe, "late"); errors.Is(err, ErrDraining) {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	release()
 	res := <-resc
-	if res.err != nil {
-		t.Fatalf("drain: %v", res.err)
-	}
-	if res.n != 2 {
-		t.Fatalf("drain journaled %d spec(s), want 2", res.n)
-	}
-	if ja.State() != StateCanceled || jb.State() != StateCanceled {
-		t.Fatalf("drained jobs not canceled: %s %s", ja.State(), jb.State())
-	}
-
-	// Same cache dir → same journal path; the successor re-admits both.
-	// The crash-safe index ALSO restores the two drain-canceled jobs as
-	// queryable terminal entries, so the successor's table holds four:
-	// the restored shells plus the re-admitted live jobs.
-	opts2 := testOptions(t)
-	opts2.CacheDir = opts.CacheDir
-	srv2 := newTestServer(t, opts2)
-	n, err := srv2.Resume()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("resume re-admitted %d spec(s), want 2", n)
-	}
-	jobs := srv2.Jobs()
-	if len(jobs) != 4 {
-		t.Fatalf("successor has %d job(s), want 4 (2 restored canceled + 2 re-admitted)", len(jobs))
-	}
-	restored, live := 0, 0
-	for _, j := range jobs {
-		if j.Status().Restored {
-			restored++
-			if st := j.State(); st != StateCanceled {
-				t.Fatalf("restored job %s is %s, want canceled", j.ID, st)
-			}
-			continue
-		}
-		live++
-		waitDone(t, j)
-		if st := j.State(); st != StateDone {
-			t.Fatalf("resumed job %s ended %s (%s)", j.ID, st, j.Status().Error)
-		}
-	}
-	if restored != 2 || live != 2 {
-		t.Fatalf("successor split restored=%d live=%d, want 2/2", restored, live)
-	}
-	// The journal is consumed: a second resume finds nothing.
-	if n, err := srv2.Resume(); err != nil || n != 0 {
-		t.Fatalf("second resume: n=%d err=%v, want 0,nil", n, err)
-	}
+	return res.n, res.err
 }
 
 // Regression: a cancel landing in the instant a runner claims the job
@@ -509,29 +583,14 @@ func TestDrainAccountsCanceledQueuedJobs(t *testing.T) {
 		t.Fatal("cancel of queued job failed")
 	}
 
-	resc := make(chan int, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		n, err := srv.Drain(ctx)
-		if err != nil {
-			t.Errorf("drain: %v", err)
-		}
-		resc <- n
-	}()
-	// Probe with b's spec: until draining it coalesces onto the queued
-	// jb (no new queue entries); ErrDraining means the queue is emptied
-	// and closed. a's spec would enqueue fresh jobs — ja's fingerprint
-	// was freed by the cancel.
-	for {
-		if _, _, err := srv.Submit(b, "late"); errors.Is(err, ErrDraining) {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+	// Probe with b's spec, which coalesces onto the queued jb; a's spec
+	// would enqueue fresh jobs — ja's fingerprint was freed by the cancel.
+	n, err := drainHeld(srv, release, b)
+	if err != nil {
+		t.Fatalf("drain: %v", err)
 	}
-	release()
-	if n := <-resc; n != 1 {
-		t.Fatalf("drain journaled %d spec(s), want 1 (the corpse is not journaled)", n)
+	if n != 1 {
+		t.Fatalf("drain left %d job(s) for -resume, want 1 (the client-canceled corpse stays canceled)", n)
 	}
 	if got, _ := opts.Metrics.Snapshot().Lookup(telemetry.MetricServeQueueDepth); got != 0 {
 		t.Fatalf("%s = %v after drain, want 0", telemetry.MetricServeQueueDepth, got)

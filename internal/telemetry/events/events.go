@@ -56,14 +56,14 @@ const (
 	RunFinish Type = "run.finish" // MS: run wall time
 
 	// Engine job lifecycle (internal/engine). Name is the job label.
-	JobQueued   Type = "job.queued"    // N: batch size the job arrived in
-	JobStarted  Type = "job.started"   // Worker: pool slot
-	JobFinished Type = "job.finished"  // Worker, MS: wall ms, N: attempts
-	JobCacheHit Type = "job.cache_hit" // Detail: "resumed" when via the journal
-	JobRetried  Type = "job.retry"     // N: attempt number, Detail: error
-	JobTimeout  Type = "job.timeout"   // MS: the deadline that fired
-	JobPanic    Type = "job.panic"     // Detail: first line of the panic value
-	JobFailed   Type = "job.failed"    // Detail: the permanent error
+	JobQueued   Type = "job.queued"   // N: batch size the job arrived in
+	JobStarted  Type = "job.started"  // Worker: pool slot
+	JobFinished Type = "job.finished" // Worker, MS: wall ms, N: attempts
+	JobCacheHit Type = "job.cache_hit"
+	JobRetried  Type = "job.retry"   // N: attempt number, Detail: error
+	JobTimeout  Type = "job.timeout" // MS: the deadline that fired
+	JobPanic    Type = "job.panic"   // Detail: first line of the panic value
+	JobFailed   Type = "job.failed"  // Detail: the permanent error
 
 	// Device fault-plan windows (internal/faults): a window opens when
 	// the composed modulation leaves identity and closes when it

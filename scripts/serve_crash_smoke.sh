@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# serve_crash_smoke.sh — crash-recovery smoke for hifi-serve's job index
-# (docs/serve.md, "Restart recovery & the job index").
+# serve_crash_smoke.sh — restart-recovery smoke for hifi-serve's job
+# index (docs/serve.md, "Restart recovery & the job index").
 #
-# Proves the kill -9 story end to end with real processes:
+# Proves the kill -9 and graceful-drain stories end to end with real
+# processes:
 #
 #   1. Boot a daemon on a scratch cache, run one sweep to completion,
 #      then submit a second (bigger) sweep and SIGKILL the daemon while
-#      it is mid-job — no drain, no journal, no terminal index record.
+#      it is mid-job — no drain, no terminal index record.
 #   2. Restart against the same cache dir with -resume. The completed
 #      job must answer GET /v1/jobs/{id} with state=done and
 #      restored=true, and its tables must re-serve byte-identical to a
@@ -16,6 +17,12 @@
 #      re-queued, and run to completion.
 #   4. /metrics must show the index replay/append counters, and the
 #      index file itself must start with the hifi_serve_index_v1 header.
+#   5. Graceful drain: a fresh daemon with one runner and a short
+#      -drain-timeout gets a long sweep (running) and a short one
+#      (queued), then SIGTERM. Restarted with -resume, it must list the
+#      same jobs as before the drain — each once, under its original
+#      id — and run the queued one to done with tables byte-identical
+#      to a direct hifi-experiments run.
 #
 # Used by `make serve-crash-smoke` and CI's serve job. Needs curl.
 set -euo pipefail
@@ -95,8 +102,8 @@ curl -fsS -X POST -H 'Content-Type: application/json' -d "$SPEC2" \
 JOB2=$(jget "$WORK/submit2.json" id)
 test -n "$JOB2"
 # Wait until the runner has the job (the index has its started record),
-# then kill -9 while it is mid-sweep: no drain, no journal — only the
-# index survives. The kill MUST land while running, or the test would
+# then kill -9 while it is mid-sweep: no drain — only the index
+# survives. The kill MUST land while running, or the test would
 # silently degrade to the restored-done path.
 for i in $(seq 1 100); do
 	curl -fsS "$BASE/v1/jobs/$JOB2" >"$WORK/job2.json"
@@ -142,6 +149,47 @@ grep -qE '^hifi_serve_index_replayed_total [1-9]' "$WORK/metrics.txt"
 grep -qE '^hifi_serve_index_records_total [1-9]' "$WORK/metrics.txt"
 
 echo "== clean shutdown of the successor"
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID"
+SERVE_PID=""
+
+job_ids() {
+	curl -fsS "$BASE/v1/jobs" | grep -oE '"id": "j[0-9]+"' | sort
+}
+
+echo "== graceful drain: one job running, one queued, then SIGTERM"
+"$WORK/hifi-serve" -listen "$ADDR" -cache-dir "$WORK/drain-cache" -runners 1 \
+	-drain-timeout 200ms -access-log "" >"$WORK/serve3.log" 2>&1 &
+SERVE_PID=$!
+wait_healthy
+curl -fsS -X POST -H 'Content-Type: application/json' -d "$SPEC2" \
+	"$BASE/v1/jobs" >"$WORK/submit3.json"
+JOB3=$(jget "$WORK/submit3.json" id)
+curl -fsS -X POST -H 'Content-Type: application/json' -d "$SPEC1" \
+	"$BASE/v1/jobs" >"$WORK/submit4.json"
+JOB4=$(jget "$WORK/submit4.json" id)
+test -n "$JOB3" && test -n "$JOB4"
+curl -fsS "$BASE/v1/jobs/$JOB4" >"$WORK/job4.json"
+if [[ "$(jget "$WORK/job4.json" state)" != "queued" ]]; then
+	echo "job $JOB4 is $(jget "$WORK/job4.json" state), want queued behind $JOB3" >&2
+	exit 1
+fi
+job_ids >"$WORK/ids_before.txt"
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID"
+SERVE_PID=""
+
+echo "== restart with -resume: drained jobs back once, under their original ids"
+"$WORK/hifi-serve" -listen "$ADDR" -cache-dir "$WORK/drain-cache" -runners 1 \
+	-resume -access-log "" >"$WORK/serve4.log" 2>&1 &
+SERVE_PID=$!
+wait_healthy
+job_ids >"$WORK/ids_after.txt"
+diff -u "$WORK/ids_before.txt" "$WORK/ids_after.txt"
+wait_done "$JOB4"
+curl -fsS "$BASE/v1/jobs/$JOB4/tables" >"$WORK/tables_drained.txt"
+diff -u "$WORK/direct.txt" "$WORK/tables_drained.txt"
+wait_done "$JOB3"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 SERVE_PID=""
